@@ -498,14 +498,14 @@ func BenchmarkRunAsyncExecTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAsyncCalendar repeats the sparse BenchmarkRunAsync workloads
-// with the calendar event queue selected. Results are byte-identical to the
-// heap (TestCalendarEngineByteIdentical); the delta against the matching
+// BenchmarkRunAsyncCalendar repeats every BenchmarkRunAsync workload with
+// the calendar event queue selected. Results are byte-identical to the heap
+// (TestCalendarEngineByteIdentical); the delta against the matching
 // BenchmarkRunAsync sub-benchmarks is the queue's contribution alone. The
-// sparse specs are the calendar's target regime — dense complete graphs
-// stay on the default heap.
+// sparse specs are the calendar's target regime; the dense complete graph,
+// where thousands of events share a bucket, is its worst case.
 func BenchmarkRunAsyncCalendar(b *testing.B) {
-	for _, spec := range []string{"gnp:5000:0.01", "torus:64x64", "path:20000", "binary:16383"} {
+	for _, spec := range []string{"complete:2000", "gnp:5000:0.01", "torus:64x64", "path:20000", "binary:16383"} {
 		g, err := experiment.ParseGraph(spec, 1)
 		if err != nil {
 			b.Fatal(err)

@@ -280,7 +280,7 @@ func run() error {
 		// population — one sample per size is representative. With
 		// -exectrace the table gains stall columns from the same sample run
 		// (wall-clock derived: representative, not deterministic).
-		header := []string{"n", "queue", "shards", "total", "queue-bytes", "fifo", "rng", "csr", "nodes", "outbox"}
+		header := []string{"n", "queue", "shards", "total", "queue-bytes", "payload", "fifo", "rng", "csr", "nodes", "outbox"}
 		if recordExec {
 			header = append(header, "busy", "barrier", "merge", "imbal")
 		}
@@ -296,7 +296,7 @@ func run() error {
 				shardsCol = 1
 			}
 			row := []any{n, m.Queue, shardsCol, riseandshine.FormatBytes(m.TotalBytes),
-				riseandshine.FormatBytes(m.QueueBytes), riseandshine.FormatBytes(m.FIFOBytes),
+				riseandshine.FormatBytes(m.QueueBytes), riseandshine.FormatBytes(m.PayloadBytes), riseandshine.FormatBytes(m.FIFOBytes),
 				riseandshine.FormatBytes(m.RNGBytes), riseandshine.FormatBytes(m.CSRBytes),
 				riseandshine.FormatBytes(m.NodeBytes), riseandshine.FormatBytes(m.OutboxBytes)}
 			if recordExec {

@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,9 +25,19 @@ import (
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "wakeup:", err)
+		var bad usageError
+		if errors.As(err, &bad) {
+			os.Exit(2) // the command line itself is wrong, as for an unknown flag
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError marks a bad spec on the command line (graph, wake schedule or
+// delays), which exits with status 2 like any other usage error.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
 
 func run() error {
 	var (
@@ -63,15 +74,15 @@ func run() error {
 
 	g, err := experiment.ParseGraph(*graphSpec, *seed)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	schedule, err := experiment.ParseSchedule(*awake, *seed)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	delayer, err := experiment.ParseDelays(*delays, *seed)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	var ports *riseandshine.PortMap
 	if *randPorts {

@@ -24,197 +24,277 @@ import (
 //	gnp:N:P | connected:N:P | caterpillar:SPINE:LEGS | wheel:N |
 //	kary:N:K | debruijn:D | regular:N:D | ba:N:M | file:PATH
 //
-// Random families take the given seed.
+// Random families take the given seed. Out-of-range specs are errors, never
+// generator panics: counts must be non-negative, probabilities lie in
+// [0, 1], each family's own minimum holds (cycle:N needs N ≥ 3, torus
+// sides ≥ 3, …), and the node count and an upper bound on the (expected)
+// directed edge count must fit the int32 index space every graph is stored
+// in.
 func ParseGraph(spec string, seed int64) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
 	kind := parts[0]
 	args := parts[1:]
-	atoi := func(i int) (int, error) {
-		if i >= len(args) {
-			return 0, fmt.Errorf("experiment: graph spec %q: missing argument %d", spec, i+1)
-		}
-		return strconv.Atoi(args[i])
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("experiment: graph spec %q: %s", spec, fmt.Sprintf(format, a...))
 	}
-	atof := func(i int) (float64, error) {
+	// count parses the i-th argument as a non-negative integer.
+	count := func(i int) (int, error) {
 		if i >= len(args) {
-			return 0, fmt.Errorf("experiment: graph spec %q: missing argument %d", spec, i+1)
+			return 0, bad("missing argument %d", i+1)
 		}
-		return strconv.ParseFloat(args[i], 64)
+		v, err := strconv.Atoi(args[i])
+		if err != nil {
+			return 0, err
+		}
+		if v < 0 {
+			return 0, bad("argument %d must be >= 0, got %d", i+1, v)
+		}
+		return v, nil
+	}
+	// pair parses the two counts of spec kinds taking two arguments.
+	pair := func() (int, int, error) {
+		a, err := count(0)
+		if err != nil {
+			return 0, 0, err
+		}
+		b, err := count(1)
+		return a, b, err
+	}
+	prob := func(i int) (float64, error) {
+		if i >= len(args) {
+			return 0, bad("missing argument %d", i+1)
+		}
+		p, err := strconv.ParseFloat(args[i], 64)
+		if err != nil {
+			return 0, err
+		}
+		if !(p >= 0 && p <= 1) {
+			return 0, bad("probability %v outside [0, 1]", p)
+		}
+		return p, nil
 	}
 	dims := func(i int) (int, int, error) {
 		if i >= len(args) {
-			return 0, 0, fmt.Errorf("experiment: graph spec %q: missing RxC argument", spec)
+			return 0, 0, bad("missing RxC argument")
 		}
 		rc := strings.SplitN(args[i], "x", 2)
 		if len(rc) != 2 {
-			return 0, 0, fmt.Errorf("experiment: graph spec %q: want RxC, got %q", spec, args[i])
+			return 0, 0, bad("want RxC, got %q", args[i])
 		}
 		r, err := strconv.Atoi(rc[0])
 		if err != nil {
 			return 0, 0, err
 		}
 		c, err := strconv.Atoi(rc[1])
-		return r, c, err
+		if err != nil {
+			return 0, 0, err
+		}
+		if r < 0 || c < 0 {
+			return 0, 0, bad("dimensions must be >= 0, got %dx%d", r, c)
+		}
+		return r, c, nil
 	}
+	atLeast := func(what string, v, min int) error {
+		if v < min {
+			return bad("%s must be >= %d, got %d", what, min, v)
+		}
+		return nil
+	}
+	// fits checks a size estimate against the int32 index space: float64
+	// arithmetic, so the estimate itself cannot overflow.
+	fits := func(nodes, directed float64) error {
+		if nodes > math.MaxInt32 {
+			return bad("%.3g nodes exceed the int32 index space", nodes)
+		}
+		if directed > math.MaxInt32 {
+			return bad("%.3g directed edges exceed the int32 index space", directed)
+		}
+		return nil
+	}
+	f := func(v int) float64 { return float64(v) }
 
 	rng := rand.New(rand.NewSource(seed))
 	switch kind {
 	case "file":
 		if len(args) == 0 {
-			return nil, fmt.Errorf("experiment: graph spec %q: missing path", spec)
+			return nil, bad("missing path")
 		}
 		// Re-join in case the path itself contains colons.
 		path := strings.Join(args, ":")
-		f, err := os.Open(path)
+		file, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		defer f.Close()
-		return graph.ReadEdgeList(f)
-	case "path":
-		n, err := atoi(0)
+		defer file.Close()
+		return graph.ReadEdgeList(file)
+	case "path", "star", "tree", "binary":
+		n, err := count(0)
+		if err == nil {
+			err = fits(f(n), 2*f(n))
+		}
 		if err != nil {
 			return nil, err
 		}
-		return graph.Path(n), nil
+		switch kind {
+		case "path":
+			return graph.Path(n), nil
+		case "star":
+			return graph.Star(n), nil
+		case "tree":
+			return graph.RandomTree(n, rng), nil
+		}
+		return graph.BinaryTree(n), nil
 	case "cycle":
-		n, err := atoi(0)
+		n, err := count(0)
+		if err == nil {
+			err = atLeast("N", n, 3)
+		}
+		if err == nil {
+			err = fits(f(n), 2*f(n))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.Cycle(n), nil
-	case "star":
-		n, err := atoi(0)
+	case "wheel":
+		n, err := count(0)
+		if err == nil {
+			err = atLeast("N", n, 4)
+		}
+		if err == nil {
+			err = fits(f(n), 4*f(n))
+		}
 		if err != nil {
 			return nil, err
 		}
-		return graph.Star(n), nil
+		return graph.Wheel(n), nil
 	case "complete":
-		n, err := atoi(0)
+		n, err := count(0)
+		if err == nil {
+			err = fits(f(n), f(n)*f(n-1))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.Complete(n), nil
 	case "bipartite":
-		a, err := atoi(0)
-		if err != nil {
-			return nil, err
+		a, b, err := pair()
+		if err == nil {
+			err = fits(f(a)+f(b), 2*f(a)*f(b))
 		}
-		b, err := atoi(1)
 		if err != nil {
 			return nil, err
 		}
 		return graph.CompleteBipartite(a, b), nil
-	case "grid":
+	case "grid", "torus":
 		r, c, err := dims(0)
+		if err == nil && kind == "torus" {
+			if r < 3 || c < 3 {
+				err = bad("torus sides must be >= 3, got %dx%d", r, c)
+			}
+		}
+		if err == nil {
+			err = fits(f(r)*f(c), 4*f(r)*f(c))
+		}
 		if err != nil {
 			return nil, err
+		}
+		if kind == "torus" {
+			return graph.Torus(r, c), nil
 		}
 		return graph.Grid(r, c), nil
-	case "torus":
-		r, c, err := dims(0)
+	case "hypercube", "debruijn":
+		d, err := count(0)
+		if err == nil {
+			// 2^d nodes of degree d (hypercube) or at most 4 (de Bruijn).
+			deg := f(d)
+			if kind == "debruijn" {
+				deg = 4
+			}
+			err = fits(math.Ldexp(1, d), deg*math.Ldexp(1, d))
+		}
 		if err != nil {
 			return nil, err
 		}
-		return graph.Torus(r, c), nil
-	case "hypercube":
-		d, err := atoi(0)
-		if err != nil {
-			return nil, err
+		if kind == "hypercube" {
+			return graph.Hypercube(d), nil
 		}
-		return graph.Hypercube(d), nil
+		return graph.DeBruijn(d), nil
 	case "lollipop":
-		k, err := atoi(0)
-		if err != nil {
-			return nil, err
+		k, tail, err := pair()
+		if err == nil {
+			err = atLeast("K", k, 1)
 		}
-		tail, err := atoi(1)
+		if err == nil {
+			err = fits(f(k)+f(tail), f(k)*f(k-1)+2*f(tail))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.Lollipop(k, tail), nil
-	case "tree":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.RandomTree(n, rng), nil
-	case "binary":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.BinaryTree(n), nil
 	case "caterpillar":
-		spine, err := atoi(0)
-		if err != nil {
-			return nil, err
+		spine, legs, err := pair()
+		if err == nil {
+			err = fits(f(spine)*(1+f(legs)), 2*f(spine)*(1+f(legs)))
 		}
-		legs, err := atoi(1)
 		if err != nil {
 			return nil, err
 		}
 		return graph.Caterpillar(spine, legs), nil
-	case "wheel":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Wheel(n), nil
 	case "kary":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
+		n, k, err := pair()
+		if err == nil {
+			err = atLeast("K", k, 1)
 		}
-		k, err := atoi(1)
+		if err == nil {
+			err = fits(f(n), 2*f(n))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.KAryTree(n, k), nil
-	case "debruijn":
-		d, err := atoi(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.DeBruijn(d), nil
 	case "regular":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
+		n, d, err := pair()
+		if err == nil && d >= n {
+			err = bad("degree D must be < N, got D=%d N=%d", d, n)
 		}
-		d, err := atoi(1)
+		if err == nil && n%2 == 1 && d%2 == 1 {
+			err = bad("N·D must be even, got N=%d D=%d", n, d)
+		}
+		if err == nil {
+			err = fits(f(n), f(n)*f(d))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.RandomRegular(n, d, rng), nil
 	case "ba":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
+		n, m, err := pair()
+		if err == nil && (m < 1 || m >= n) {
+			err = bad("M must satisfy 1 <= M < N, got M=%d N=%d", m, n)
 		}
-		m, err := atoi(1)
+		if err == nil {
+			err = fits(f(n), 2*f(n)*f(m))
+		}
 		if err != nil {
 			return nil, err
 		}
 		return graph.PreferentialAttachment(n, m, rng), nil
-	case "gnp":
-		n, err := atoi(0)
+	case "gnp", "connected":
+		n, err := count(0)
 		if err != nil {
 			return nil, err
 		}
-		p, err := atof(1)
+		p, err := prob(1)
+		if err == nil {
+			// Expected edges; a connected graph adds its spanning tree.
+			err = fits(f(n), p*f(n)*f(n-1)+2*f(n))
+		}
 		if err != nil {
 			return nil, err
 		}
-		return graph.RandomGNP(n, p, rng), nil
-	case "connected":
-		n, err := atoi(0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := atof(1)
-		if err != nil {
-			return nil, err
+		if kind == "gnp" {
+			return graph.RandomGNP(n, p, rng), nil
 		}
 		return graph.RandomConnected(n, p, rng), nil
 	default:

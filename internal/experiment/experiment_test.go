@@ -83,6 +83,55 @@ func TestParseGraphErrors(t *testing.T) {
 	}
 }
 
+// TestParseGraphOutOfRange pins the input contract: an out-of-range spec is
+// an error naming the problem, returned at once. Each of these used to
+// panic inside a generator, or (gnp with p > 1) to run unbounded.
+func TestParseGraphOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"torus:0x5", "torus sides must be >= 3"},
+		{"gnp:-5:0.1", "argument 1 must be >= 0"},
+		{"hypercube:40", "nodes exceed the int32 index space"},
+		{"grid:100000x100000", "nodes exceed the int32 index space"},
+		{"complete:200000", "directed edges exceed the int32 index space"},
+		{"gnp:100000:2", "probability 2 outside [0, 1]"},
+		{"gnp:100:-0.5", "probability -0.5 outside [0, 1]"},
+		{"gnp:100:NaN", "probability NaN outside [0, 1]"},
+		{"connected:100:1.5", "probability 1.5 outside [0, 1]"},
+		{"gnp:100000:1", "directed edges exceed the int32 index space"},
+		{"grid:-3x4", "dimensions must be >= 0"},
+		{"cycle:2", "N must be >= 3"},
+		{"wheel:3", "N must be >= 4"},
+		{"lollipop:0:4", "K must be >= 1"},
+		{"kary:10:0", "K must be >= 1"},
+		{"regular:5:3", "N·D must be even"},
+		{"regular:4:4", "degree D must be < N"},
+		{"ba:5:5", "1 <= M < N"},
+		{"debruijn:40", "nodes exceed the int32 index space"},
+		{"hypercube:27", "directed edges exceed the int32 index space"},
+		{"path:-1", "argument 1 must be >= 0"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			g, err := ParseGraph(tc.spec, 1)
+			if err == nil {
+				t.Fatalf("ParseGraph(%q) built a %d-node graph, want an error", tc.spec, g.N())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseGraph(%q) error %q, want it to mention %q", tc.spec, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestParseGraphLimitsAdmitBoundary checks the limits are not off by one:
+// specs exactly at a family's minimum, or at p = 0 and p = 1, still parse.
+func TestParseGraphLimitsAdmitBoundary(t *testing.T) {
+	for _, spec := range []string{"hypercube:10", "torus:3x3", "cycle:3", "wheel:4", "gnp:30:0", "gnp:30:1", "lollipop:1:3"} {
+		if _, err := ParseGraph(spec, 1); err != nil {
+			t.Errorf("ParseGraph(%q): %v", spec, err)
+		}
+	}
+}
+
 func TestParseGraphFromFile(t *testing.T) {
 	path := t.TempDir() + "/g.txt"
 	if err := os.WriteFile(path, []byte("n 3\n0 1\n1 2\n"), 0o644); err != nil {

@@ -78,18 +78,22 @@ type Config struct {
 	Tracer ExecTracer
 }
 
-const (
-	evWake = iota + 1
-	evDeliver
-)
-
+// event is one pending engine event: a wake or a delivery at node, ordered
+// by the (at, seq) key. It is a pointer-free 24-byte record — the
+// Delivery it carries lives in the owning core's payload slab, addressed
+// by slot — so the queue moves small flat values the garbage collector
+// never scans (see DESIGN.md "Event core"; TestEventSlimPointerFree pins
+// the layout).
 type event struct {
 	at   Time
 	seq  int64
-	kind int
-	node int
-	d    Delivery
+	node int32
+	slot int32 // payload slab index; wakeSlot marks a wake
 }
+
+// wakeSlot is the slot of a wake event, which carries no payload. Any
+// negative slot means a wake.
+const wakeSlot int32 = -1
 
 // AsyncEngine is a reusable instance of the asynchronous engine. The zero
 // value is ready to use: Run allocates the scratch state — event queue,
@@ -231,7 +235,7 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	// predecessor called heap.Init here redundantly for the same reason;
 	// TestWakePushesKeepHeapOrdered pins the invariant.)
 	for _, w := range wakeups {
-		c.push(event{at: w.At, kind: evWake, node: w.Node})
+		c.push(event{at: w.At, node: int32(w.Node), slot: wakeSlot})
 	}
 
 	maxEvents := maxEventsFor(cfg)
@@ -248,12 +252,7 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		ev := c.queue.pop()
 		c.now = ev.at
 		res.Events++
-		switch ev.kind {
-		case evWake:
-			c.wake(ev.node, true)
-		case evDeliver:
-			c.deliver(ev.node, ev.d)
-		}
+		c.dispatch(ev)
 		if c.err != nil {
 			return nil, c.err
 		}

@@ -83,12 +83,7 @@ func (q *calendarQueue) reset(capacity int) {
 		q.invWidth = float64(nb) / 2
 	} else {
 		for i, evs := range q.buckets {
-			if len(evs) > 0 {
-				// Pops zero slots as they drain, so [head:len) is the only
-				// region that can still hold Delivery.Msg references.
-				clear(evs[q.head[i]:])
-				q.buckets[i] = evs[:0]
-			}
+			q.buckets[i] = evs[:0]
 			q.head[i] = 0
 		}
 		clear(q.occ)
@@ -167,7 +162,6 @@ func (q *calendarQueue) pop() event {
 	evs := q.buckets[b]
 	h := q.head[b]
 	ev := evs[h]
-	evs[h] = event{} // release the Delivery.Msg reference
 	h++
 	if int(h) == len(evs) {
 		q.buckets[b] = evs[:0]

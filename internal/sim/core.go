@@ -36,6 +36,7 @@ type runShared struct {
 	// flat index EdgeStart[v]+p-1. A core only touches the slots of its
 	// own node range.
 	awake    []bool
+	seeded   []bool // node's generator reseeded this run (first Rand call)
 	machines []Program
 	ctxs     []coreCtx
 	fifoLast []Time  // last scheduled delivery time (zero value never clamps: delivery times are > 0)
@@ -48,8 +49,10 @@ type runShared struct {
 	// together invariant keeps stable), so a million-node table is 64 B per
 	// node of cache-local state instead of 10⁶ separately boxed ~5 KiB
 	// lagged-Fibonacci tables. State is seeded lazily: a node's generator
-	// holds garbage until its first wake of the run reseeds it (ReseedNode,
-	// O(1)), so per-run RNG cost is proportional to woken nodes only.
+	// holds garbage until its first Rand() call of the run reseeds it
+	// (ReseedNode, O(1); seeded[v] records it), so per-run RNG cost is
+	// proportional to the nodes that actually draw — nothing for
+	// algorithms, such as flood, that never do.
 	rngs  []PCG
 	rands []rand.Rand
 
@@ -60,15 +63,17 @@ type runShared struct {
 
 // reset sizes and clears the shared scratch for n nodes and dir directed
 // edges, reusing backing arrays whenever they are large enough. The RNG
-// tables are deliberately kept across runs: wake reseeds a node's
-// generator to the run's stream, which produces exactly the bits a fresh
-// NodeRand would (see ReseedNode), so only growth ever reallocates them.
+// tables are deliberately kept across runs: a node's first Rand() call
+// reseeds its generator to the run's stream, which produces exactly the
+// bits a fresh NodeRand would (see ReseedNode), so only growth ever
+// reallocates them; clearing seeded is what makes the next run reseed.
 // On growth the wrapper table is rebound element by element — rands[v]
 // must wrap &rngs[v] of the *new* backing array — which is the one O(n)
 // RNG cost left anywhere (64 B of writes per node; the old per-node
 // lagged-Fibonacci sources cost ~5 KiB and O(607) seeding work each).
 func (r *runShared) reset(n, dir int) {
 	r.awake = growClear(r.awake, n)
+	r.seeded = growClear(r.seeded, n)
 	r.machines = growClear(r.machines, n)
 	r.fifoLast = growClear(r.fifoLast, dir)
 	r.edgeSeq = growClear(r.edgeSeq, dir)
@@ -111,10 +116,20 @@ type obsRecord struct {
 // assigned at the barrier equal the seq numbers the sequential engine would
 // have used (see sharded.go).
 type stagedSend struct {
-	ev    event
+	heldEvent
 	pAt   Time
 	pVseq int64
 	dest  uint8 // destination shard (Partition.EdgeShard)
+}
+
+// heldEvent is an event together with its payload, by value: the form in
+// which a delivery crosses between cores. A core's slab is never shared
+// with another goroutine, so staged sends and inboxes carry the Delivery
+// itself, and the receiving core takes a slot in its own slab when it
+// pushes the event (see runWindow). Wakes carry a zero Delivery.
+type heldEvent struct {
+	ev event
+	d  Delivery
 }
 
 // engineCore is one event loop over the contiguous node range [lo, hi).
@@ -131,6 +146,14 @@ type engineCore struct {
 	queue eventQueue // points at heap or cal, per Config.Queue
 	heap  eventHeap
 	cal   calendarQueue
+
+	// Payload slab: the Delivery of every pending delivery event, addressed
+	// by event.slot. It is written once at send (hold) and read and freed
+	// once at dispatch (take); freed slots go on a LIFO free list, so the
+	// slab grows to the high-water pending population and the next send
+	// reuses the slot — still in cache — that the last dispatch freed.
+	slab []Delivery
+	free []int32
 
 	acct *Accounting
 	obs  Observer // direct observer; nil in sharded cores (recOn instead)
@@ -172,8 +195,20 @@ func (c *coreCtx) Now() Time { return c.c.now }
 //wakeup:noalloc
 func (c *coreCtx) Round() int { return AsyncRound }
 
+// Rand returns the node's private generator, reseeding it to the run's
+// stream on the node's first call of the run. Every draw goes through
+// here, so the stream is exactly NodeRand(seed, v) whenever it is first
+// read; nodes that never draw never pay for the reseed.
+//
 //wakeup:noalloc
-func (c *coreCtx) Rand() *rand.Rand { return &c.c.run.rands[c.node] }
+func (c *coreCtx) Rand() *rand.Rand {
+	r := c.c.run
+	if !r.seeded[c.node] {
+		r.seeded[c.node] = true
+		ReseedNode(&r.rands[c.node], r.seed, c.node)
+	}
+	return &r.rands[c.node]
+}
 
 //wakeup:noalloc
 func (c *coreCtx) AdversarialWake() bool { return c.c.acct.AdversaryWoken(c.node) }
@@ -204,6 +239,60 @@ func (c *engineCore) push(ev event) {
 	c.queue.push(ev)
 }
 
+// hold stores d in the payload slab and returns its slot.
+//
+//wakeup:noalloc
+func (c *engineCore) hold(d Delivery) int32 {
+	if k := len(c.free) - 1; k >= 0 {
+		s := c.free[k]
+		c.free = c.free[:k]
+		c.slab[s] = d
+		return s
+	}
+	//lint:noalloc-ok grows to the high-water pending-delivery count, then reuses the array (resetSlab keeps capacity)
+	c.slab = append(c.slab, d)
+	return int32(len(c.slab) - 1)
+}
+
+// take returns the Delivery in slot s and frees the slot, releasing its
+// Msg reference so a reused slab does not pin payloads.
+//
+//wakeup:noalloc
+func (c *engineCore) take(s int32) Delivery {
+	d := c.slab[s]
+	c.slab[s] = Delivery{}
+	//lint:noalloc-ok the free list never holds more slots than the slab, so it grows to the slab's high-water mark, then reuses the array
+	c.free = append(c.free, s)
+	return d
+}
+
+// resetSlab empties the payload slab and its free list, keeping capacity
+// and growing it toward the queue's capacity hint, so a fresh engine does
+// not climb to its pending population one append growth step at a time.
+// Slots still live when a run aborted hold payloads, so they are cleared.
+func (c *engineCore) resetSlab(capacity int) {
+	if cap(c.slab) < capacity {
+		c.slab = make([]Delivery, 0, capacity)
+		c.free = make([]int32, 0, capacity)
+		return
+	}
+	clear(c.slab)
+	c.slab = c.slab[:0]
+	c.free = c.free[:0]
+}
+
+// dispatch runs one popped event: a wake (negative slot) or the delivery
+// whose payload sits in the event's slab slot.
+//
+//wakeup:noalloc
+func (c *engineCore) dispatch(ev event) {
+	if ev.slot < 0 {
+		c.wake(int(ev.node), true)
+		return
+	}
+	c.deliver(int(ev.node), c.take(ev.slot))
+}
+
 // record appends one deferred observer call tagged with the current event
 // key (sharded runs only; see obsRecord).
 //
@@ -221,9 +310,9 @@ func (c *engineCore) record(kind uint8, node, port int, adv bool, d Delivery) {
 // vseq numbers, and routes each event to its destination shard's inbox.
 //
 //wakeup:noalloc
-func (c *engineCore) stage(ev event, dest uint8) {
+func (c *engineCore) stage(ev event, d Delivery, dest uint8) {
 	//lint:noalloc-ok grows to the window's high-water outbox size, then reuses the array (the barrier truncates, keeping capacity)
-	c.staged = append(c.staged, stagedSend{ev: ev, pAt: c.curAt, pVseq: c.curVseq, dest: dest})
+	c.staged = append(c.staged, stagedSend{heldEvent: heldEvent{ev: ev, d: d}, pAt: c.curAt, pVseq: c.curVseq, dest: dest})
 }
 
 //wakeup:noalloc
@@ -234,9 +323,6 @@ func (c *engineCore) wake(v int, adversarial bool) {
 	}
 	r.awake[v] = true
 	c.acct.Wake(v, c.now, adversarial)
-	// First use of node v's generator this run: O(1) reseed of the flat
-	// PCG state to exactly the stream a fresh NodeRand(seed, v) yields.
-	ReseedNode(&r.rands[v], r.seed, v)
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
 		c.obs.OnWake(c.now, v, adversarial)
@@ -313,21 +399,18 @@ func (c *engineCore) send(from, port int, m Message) {
 	}
 	r.fifoLast[ei] = at
 
-	ev := event{
-		at:   at,
-		kind: evDeliver,
-		node: to,
-		d: Delivery{
-			Msg:        m,
-			Port:       int(s.RevPort[ei]),
-			SenderPort: port,
-			From:       s.SenderIDs[from],
-		},
+	d := Delivery{
+		Msg:        m,
+		Port:       int(s.RevPort[ei]),
+		SenderPort: port,
+		From:       s.SenderIDs[from],
 	}
 	if c.staging {
-		c.stage(ev, r.part.EdgeShard[ei])
+		// Any slot ≥ 0 marks a delivery; the receiving core assigns the
+		// real one when it pushes the inbox (runWindow).
+		c.stage(event{at: at, node: int32(to), slot: 0}, d, r.part.EdgeShard[ei])
 	} else {
-		c.push(ev)
+		c.push(event{at: at, node: int32(to), slot: c.hold(d)})
 	}
 }
 
@@ -349,7 +432,8 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 }
 
 // selectQueue binds the core's queue interface to the configured
-// implementation and sizes it from the capacity hint.
+// implementation, sizes it from the capacity hint, and empties the payload
+// slab that backs its delivery events.
 func (c *engineCore) selectQueue(kind QueueKind, capacity int) error {
 	switch kind {
 	case QueueHeap:
@@ -360,12 +444,15 @@ func (c *engineCore) selectQueue(kind QueueKind, capacity int) error {
 		return fmt.Errorf("sim: unknown queue kind %v", kind)
 	}
 	c.queue.reset(capacity)
+	c.resetSlab(capacity)
 	return nil
 }
 
 // runWindow is the sharded per-core loop for one window: push the inbox
-// (events already carry their barrier-assigned vseq), then drain every
-// event strictly before windowEnd, staging all children. The lookahead
+// (events already carry their barrier-assigned vseq; each delivery takes a
+// slot in this core's own slab here, so no slab is ever shared between
+// goroutines), then drain every event strictly before windowEnd, staging
+// all children. The lookahead
 // invariant — every child's delivery time is at least one window width
 // after its parent — guarantees nothing pushed during the window is
 // processed in it, so the drain is bounded by the pending population.
@@ -373,8 +460,12 @@ func (c *engineCore) selectQueue(kind QueueKind, capacity int) error {
 // converts budget exhaustion into the engine's event-limit error.
 //
 //wakeup:noalloc
-func (c *engineCore) runWindow(inbox []event, windowEnd Time, budget int) {
-	for _, ev := range inbox {
+func (c *engineCore) runWindow(inbox []heldEvent, windowEnd Time, budget int) {
+	for i := range inbox {
+		ev := inbox[i].ev
+		if ev.slot >= 0 {
+			ev.slot = c.hold(inbox[i].d)
+		}
 		c.queue.push(ev)
 	}
 	c.nextAt = infTime
@@ -390,12 +481,7 @@ func (c *engineCore) runWindow(inbox []event, windowEnd Time, budget int) {
 		c.curVseq = ev.seq
 		c.events++
 		c.lastAt = ev.at
-		switch ev.kind {
-		case evWake:
-			c.wake(ev.node, true)
-		case evDeliver:
-			c.deliver(ev.node, ev.d)
-		}
+		c.dispatch(ev)
 		if c.err != nil || c.events >= budget {
 			c.nextAt = c.now
 			return

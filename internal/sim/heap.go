@@ -69,9 +69,6 @@ func (h *eventHeap) pop() event {
 	min := a[0]
 	last := len(a) - 1
 	a[0] = a[last]
-	// Release the vacated slot's Delivery.Msg reference so a long-lived
-	// reused heap does not pin the last run's payloads.
-	a[last] = event{}
 	a = a[:last]
 	h.a = a
 	// Sift the displaced element down: swap with the smallest of up to four

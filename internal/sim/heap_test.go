@@ -41,7 +41,7 @@ func randomEvents(rng *rand.Rand, n int) []event {
 		} else {
 			at = Time(rng.Float64() * 10)
 		}
-		evs[i] = event{at: at, seq: int64(i), kind: evDeliver, node: i}
+		evs[i] = event{at: at, seq: int64(i), node: int32(i), slot: int32(i)}
 	}
 	return evs
 }
@@ -125,7 +125,7 @@ func TestWakePushesKeepHeapOrdered(t *testing.T) {
 	var h eventHeap
 	var seq int64
 	for _, w := range wakes {
-		h.push(event{at: w.At, seq: seq, kind: evWake, node: w.Node})
+		h.push(event{at: w.At, seq: seq, node: int32(w.Node), slot: wakeSlot})
 		seq++
 		checkHeapInvariant(t, &h)
 	}
@@ -196,7 +196,7 @@ func FuzzEventHeap(f *testing.F) {
 				at = Time(b % 8)
 			}
 			ats = append(ats, at)
-			ev := event{at: at, seq: seq, kind: evDeliver, node: int(b)}
+			ev := event{at: at, seq: seq, node: int32(b), slot: int32(b)}
 			seq++
 			h.push(ev)
 			heap.Push(ref, ev)

@@ -12,6 +12,7 @@ import (
 // enabling it cannot perturb a run.
 var (
 	eventBytes       = int64(unsafe.Sizeof(event{}))
+	deliveryBytes    = int64(unsafe.Sizeof(Delivery{}))
 	sliceHeaderBytes = int64(unsafe.Sizeof([]event(nil)))
 	ctxBytes         = int64(unsafe.Sizeof(coreCtx{}))
 	programBytes     = int64(unsafe.Sizeof(Program(nil)))
@@ -32,17 +33,23 @@ var (
 // is what capacity planning needs.
 //
 // The report answers the practical 10⁶-node question — "what does one more
-// node or edge cost?": Queue and Nodes scale with n (and the in-flight
-// event population), FIFO and CSR with the directed edge count 2m, RNG
-// with n at a flat 64 bytes per node (16 bytes of PCG state plus the
-// rand.Rand wrapper — see DESIGN.md "Node randomness"; before the compact
-// source this was ~4.8 KiB per woken node and 96 % of a million-node run).
+// node or edge cost?": Queue, Payload and Nodes scale with n (and the
+// in-flight event population), FIFO and CSR with the directed edge count
+// 2m, RNG with n at a flat 64 bytes per node (16 bytes of PCG state plus
+// the rand.Rand wrapper — see DESIGN.md "Node randomness"; before the
+// compact source this was ~4.8 KiB per woken node and 96 % of a
+// million-node run).
 type MemReport struct {
 	// Queue names the event-queue implementation ("heap" or "calendar").
 	Queue string
 	// QueueBytes is the event queue's backing storage: the heap array, or
-	// the calendar's buckets, bitmap, and overflow heap.
+	// the calendar's buckets, bitmap, and overflow heap. Queued events are
+	// 24-byte keys; the deliveries they carry are counted in PayloadBytes.
 	QueueBytes int64
+	// PayloadBytes is the payload slab holding the Delivery of every
+	// pending delivery event, plus its free list of slot indices (summed
+	// over cores in a sharded run).
+	PayloadBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
 	// sequence arrays.
 	FIFOBytes int64
@@ -72,8 +79,8 @@ type MemReport struct {
 
 // String renders a compact single-line summary.
 func (m *MemReport) String() string {
-	s := fmt.Sprintf("mem[%s]: total=%s queue=%s fifo=%s rng=%s csr=%s nodes=%s",
-		m.Queue, FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.FIFOBytes),
+	s := fmt.Sprintf("mem[%s]: total=%s queue=%s payload=%s fifo=%s rng=%s csr=%s nodes=%s",
+		m.Queue, FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.PayloadBytes), FormatBytes(m.FIFOBytes),
 		FormatBytes(m.RNGBytes), FormatBytes(m.CSRBytes), FormatBytes(m.NodeBytes))
 	if m.Shards > 1 {
 		s += fmt.Sprintf(" shards=%d outbox=%s", m.Shards, FormatBytes(m.OutboxBytes))
@@ -96,47 +103,59 @@ func FormatBytes(b int64) string {
 }
 
 // memReport assembles the per-subsystem scratch accounting over the shared
-// run state; queueBytes is the (possibly per-shard summed) event-queue
-// figure supplied by the owning engine.
-func (r *runShared) memReport(kind QueueKind, queueBytes int64) *MemReport {
+// run state; queueBytes and payloadBytes are the (possibly per-shard
+// summed) event-queue and payload-slab figures supplied by the owning
+// engine.
+func (r *runShared) memReport(kind QueueKind, queueBytes, payloadBytes int64) *MemReport {
 	s := r.s
 	m := &MemReport{
-		Queue:      kind.String(),
-		QueueBytes: queueBytes,
-		FIFOBytes:  int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
-		RNGBytes:   int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
+		Queue:        kind.String(),
+		QueueBytes:   queueBytes,
+		PayloadBytes: payloadBytes,
+		FIFOBytes:    int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
+		RNGBytes:     int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
 		CSRBytes: int64(len(s.EdgeStart))*4 + int64(len(s.EdgeTo))*4 +
 			int64(len(s.RevPort))*4 + int64(len(s.SenderIDs))*8,
-		NodeBytes: int64(cap(r.awake)) + int64(cap(r.machines))*programBytes +
+		NodeBytes: int64(cap(r.awake)) + int64(cap(r.seeded)) + int64(cap(r.machines))*programBytes +
 			int64(cap(r.ctxs))*ctxBytes,
 	}
-	m.TotalBytes = m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes
+	m.TotalBytes = m.QueueBytes + m.PayloadBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes
 	return m
+}
+
+// memBytes reports the core's event-queue storage and its payload slab
+// plus free list.
+func (c *engineCore) memBytes() (queue, payload int64) {
+	return c.queue.memBytes(), int64(cap(c.slab))*deliveryBytes + int64(cap(c.free))*4
 }
 
 // memReport assembles the sequential engine's end-of-run accounting.
 func (e *AsyncEngine) memReport(kind QueueKind) *MemReport {
-	return e.run.memReport(kind, e.core.queue.memBytes())
+	queue, payload := e.core.memBytes()
+	return e.run.memReport(kind, queue, payload)
 }
 
 // memReport assembles the sharded engine's end-of-run accounting: the
-// per-core queues sum into QueueBytes, and the staging machinery — outboxes,
-// observer records, inboxes, and the partition tables — lands in
-// OutboxBytes, so `sweep -mem` stays truthful about what -shards adds.
+// per-core queues and slabs sum into QueueBytes and PayloadBytes, and the
+// staging machinery — outboxes, observer records, inboxes, and the
+// partition tables — lands in OutboxBytes, so `sweep -mem` stays truthful
+// about what -shards adds.
 func (e *ShardedEngine) memReport(kind QueueKind) *MemReport {
-	var queueBytes, outbox int64
+	var queueBytes, payloadBytes, outbox int64
 	for i := range e.cores {
 		c := &e.cores[i]
-		queueBytes += c.queue.memBytes()
+		queue, payload := c.memBytes()
+		queueBytes += queue
+		payloadBytes += payload
 		outbox += int64(cap(c.staged))*stagedBytes + int64(cap(c.rec))*recBytes
 	}
 	for _, in := range e.inboxes {
-		outbox += int64(cap(in)) * eventBytes
+		outbox += int64(cap(in)) * heldBytes
 	}
 	if p := e.part; p != nil {
 		outbox += int64(cap(p.Bounds))*4 + int64(cap(p.NodeShard)) + int64(cap(p.EdgeShard))
 	}
-	m := e.run.memReport(kind, queueBytes)
+	m := e.run.memReport(kind, queueBytes, payloadBytes)
 	m.Shards = len(e.cores)
 	m.OutboxBytes = outbox
 	m.TotalBytes += outbox
@@ -146,4 +165,5 @@ func (e *ShardedEngine) memReport(kind QueueKind) *MemReport {
 var (
 	stagedBytes = int64(unsafe.Sizeof(stagedSend{}))
 	recBytes    = int64(unsafe.Sizeof(obsRecord{}))
+	heldBytes   = int64(unsafe.Sizeof(heldEvent{}))
 )

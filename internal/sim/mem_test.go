@@ -35,10 +35,10 @@ func TestMemReportPopulated(t *testing.T) {
 		if m.Queue != q.String() {
 			t.Errorf("queue label %q, want %q", m.Queue, q.String())
 		}
-		if m.QueueBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
+		if m.QueueBytes <= 0 || m.PayloadBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
 			t.Errorf("queue %v: subsystem bytes not all positive: %+v", q, m)
 		}
-		if sum := m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
+		if sum := m.QueueBytes + m.PayloadBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
 			t.Errorf("queue %v: TotalBytes %d != subsystem sum %d", q, m.TotalBytes, sum)
 		}
 		if s := m.String(); !strings.Contains(s, q.String()) {

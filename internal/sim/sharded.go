@@ -15,7 +15,7 @@ var infTime = Time(math.Inf(1))
 // send is the happens-before edge that publishes the coordinator's barrier
 // work (the inbox, the truncated outbox) to the worker.
 type shardCmd struct {
-	inbox     []event
+	inbox     []heldEvent
 	windowEnd Time
 	budget    int
 	win       int64 // window index, for execution-trace spans only
@@ -60,7 +60,7 @@ type shardCmd struct {
 type ShardedEngine struct {
 	run     runShared
 	cores   []engineCore
-	inboxes [][]event
+	inboxes [][]heldEvent
 	cursors []int // k-way merge cursors, reused across barriers
 	seqFB   *AsyncEngine
 
@@ -152,7 +152,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 
 	if len(e.cores) != p {
 		e.cores = make([]engineCore, p)
-		e.inboxes = make([][]event, p)
+		e.inboxes = make([][]heldEvent, p)
 		e.cursors = make([]int, p)
 	}
 	// Contexts must point at the owning core, so — unlike the sequential
@@ -200,9 +200,9 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	// assign.
 	inboxMin := infTime
 	for i, wk := range wakeups {
-		ev := event{at: wk.At, seq: int64(i), kind: evWake, node: wk.Node}
+		ev := event{at: wk.At, seq: int64(i), node: int32(wk.Node), slot: wakeSlot}
 		d := part.NodeShard[wk.Node]
-		e.inboxes[d] = append(e.inboxes[d], ev)
+		e.inboxes[d] = append(e.inboxes[d], heldEvent{ev: ev})
 		if ev.at < inboxMin {
 			inboxMin = ev.at
 		}
@@ -429,14 +429,14 @@ func (e *ShardedEngine) mergeStaged(globalVseq *int64) Time {
 		}
 		sd := &e.cores[best].staged[cur[best]]
 		cur[best]++
-		ev := sd.ev
-		ev.seq = *globalVseq
+		he := sd.heldEvent
+		he.ev.seq = *globalVseq
 		*globalVseq++
-		if ev.at < inboxMin {
-			inboxMin = ev.at
+		if he.ev.at < inboxMin {
+			inboxMin = he.ev.at
 		}
 		//lint:noalloc-ok inboxes grow to their high-water window size, then reuse the array (the barrier truncates, keeping capacity)
-		e.inboxes[sd.dest] = append(e.inboxes[sd.dest], ev)
+		e.inboxes[sd.dest] = append(e.inboxes[sd.dest], he)
 	}
 	for i := range e.cores {
 		truncateStaged(&e.cores[i])
