@@ -498,42 +498,6 @@ func BenchmarkRunAsyncExecTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAsyncCalendar repeats every BenchmarkRunAsync workload with
-// the calendar event queue selected. Results are byte-identical to the heap
-// (TestCalendarEngineByteIdentical); the delta against the matching
-// BenchmarkRunAsync sub-benchmarks is the queue's contribution alone. The
-// sparse specs are the calendar's target regime; the dense complete graph,
-// where thousands of events share a bucket, is its worst case.
-func BenchmarkRunAsyncCalendar(b *testing.B) {
-	for _, spec := range []string{"complete:2000", "gnp:5000:0.01", "torus:64x64", "path:20000", "binary:16383"} {
-		g, err := experiment.ParseGraph(spec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(spec, func(b *testing.B) {
-			b.ReportAllocs()
-			events := 0
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunAsync(sim.Config{
-					Graph: g,
-					Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-					Adversary: sim.Adversary{
-						Schedule: sim.WakeAll{},
-						Delays:   sim.RandomDelay{Seed: int64(i)},
-					},
-					Seed:  int64(i),
-					Queue: sim.QueueCalendar,
-				}, core.Flood{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkRunAsyncReuse repeats the dense BenchmarkRunAsync workload with
 // every reuse lever engaged — a prebuilt Setup shared across iterations and
 // a recycled engine — so allocs/op shows the steady-state per-run constant

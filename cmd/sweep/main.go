@@ -36,10 +36,21 @@ import (
 
 func main() {
 	if err := run(); err != nil {
+		var bad usageError
+		if errors.As(err, &bad) {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(2) // the command line itself is wrong, as for an unknown flag
+		}
 		slog.New(exectrace.NewLogHandler(os.Stderr, slog.LevelInfo)).Error("sweep failed", "err", err)
 		os.Exit(1)
 	}
 }
+
+// usageError marks a bad value on the command line, which exits with
+// status 2 like any other usage error.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
 
 func run() error {
 	var (
@@ -48,7 +59,6 @@ func run() error {
 		sizesStr = flag.String("sizes", "128,256,512,1024", "comma-separated network sizes")
 		schedule = flag.String("schedule", "single", "wake schedule spec")
 		delays   = flag.String("delays", "random", "delay adversary: unit | random | random:MIN")
-		queue    = flag.String("queue", "heap", "event queue: heap | calendar (byte-identical results)")
 		mem      = flag.Bool("mem", false, "print a per-size scratch memory table by subsystem")
 		seeds    = flag.Int("seeds", 3, "seeds per size")
 		seed     = flag.Int64("seed", 1, "master seed; run i derives its seed from (seed, i)")
@@ -66,6 +76,27 @@ func run() error {
 		execPath    = flag.String("exectrace", "", "record each run's execution timeline, write the final run's Chrome trace JSON (Perfetto-loadable) to this path, and print per-size stall summaries (with -mem: stall columns on the memory table)")
 	)
 	flag.Parse()
+
+	// Reject a matrix that cannot be swept before any run is built: no
+	// seeds or a non-positive size leaves nothing to average or fit, and a
+	// template without exactly one %d cannot name the graph for each size.
+	if *seeds < 1 {
+		return usageError{fmt.Errorf("-seeds %d: need at least 1", *seeds)}
+	}
+	var sizes []int
+	for _, s := range strings.Split(*sizesStr, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return usageError{fmt.Errorf("-sizes: bad size %q: %w", s, err)}
+		}
+		if v < 1 {
+			return usageError{fmt.Errorf("-sizes: size %d: need at least 1", v)}
+		}
+		sizes = append(sizes, v)
+	}
+	if strings.Count(*graphT, "%d") != 1 {
+		return usageError{fmt.Errorf("-graph %q: template needs exactly one %%d for n", *graphT)}
+	}
 
 	// All status output goes through the deterministic slog handler:
 	// level/msg/attr lines with no timestamps, so logs diff cleanly across
@@ -85,20 +116,6 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	var sizes []int
-	for _, s := range strings.Split(*sizesStr, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("bad size %q: %w", s, err)
-		}
-		sizes = append(sizes, v)
-	}
-
-	queueKind, err := experiment.ParseQueue(*queue)
-	if err != nil {
-		return err
-	}
-
 	// One spec per (size, seed) cell, in deterministic matrix order.
 	recordMetrics := *metricsPath != "" || *httpAddr != ""
 	recordExec := *execPath != "" || *httpAddr != ""
@@ -114,7 +131,6 @@ func run() error {
 				RandomPorts:   true,
 				RecordDigests: *digest,
 				Metrics:       recordMetrics,
-				Queue:         queueKind,
 				MemReport:     *mem,
 				Shards:        *shards,
 				ExecTrace:     recordExec,
@@ -280,7 +296,7 @@ func run() error {
 		// population — one sample per size is representative. With
 		// -exectrace the table gains stall columns from the same sample run
 		// (wall-clock derived: representative, not deterministic).
-		header := []string{"n", "queue", "shards", "total", "queue-bytes", "payload", "fifo", "rng", "csr", "nodes", "outbox"}
+		header := []string{"n", "shards", "total", "queue-bytes", "payload", "fifo", "rng", "csr", "nodes", "outbox"}
 		if recordExec {
 			header = append(header, "busy", "barrier", "merge", "imbal")
 		}
@@ -295,7 +311,7 @@ func run() error {
 			if shardsCol < 1 {
 				shardsCol = 1
 			}
-			row := []any{n, m.Queue, shardsCol, riseandshine.FormatBytes(m.TotalBytes),
+			row := []any{n, shardsCol, riseandshine.FormatBytes(m.TotalBytes),
 				riseandshine.FormatBytes(m.QueueBytes), riseandshine.FormatBytes(m.PayloadBytes), riseandshine.FormatBytes(m.FIFOBytes),
 				riseandshine.FormatBytes(m.RNGBytes), riseandshine.FormatBytes(m.CSRBytes),
 				riseandshine.FormatBytes(m.NodeBytes), riseandshine.FormatBytes(m.OutboxBytes)}

@@ -381,20 +381,6 @@ func ParseDelays(spec string, seed int64) (sim.Delayer, error) {
 	}
 }
 
-// ParseQueue selects an event-queue implementation from "heap" (or empty)
-// or "calendar". Every kind yields byte-identical Results; the choice is
-// purely a performance knob.
-func ParseQueue(spec string) (sim.QueueKind, error) {
-	switch spec {
-	case "", "heap":
-		return sim.QueueHeap, nil
-	case "calendar":
-		return sim.QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown queue kind %q (want heap or calendar)", spec)
-	}
-}
-
 // Table renders rows as a fixed-width plain-text table.
 type Table struct {
 	Header []string

@@ -245,26 +245,6 @@ func TestParseDelaysMin(t *testing.T) {
 	}
 }
 
-func TestParseQueue(t *testing.T) {
-	cases := []struct {
-		spec string
-		want sim.QueueKind
-	}{
-		{"", sim.QueueHeap},
-		{"heap", sim.QueueHeap},
-		{"calendar", sim.QueueCalendar},
-	}
-	for _, c := range cases {
-		got, err := ParseQueue(c.spec)
-		if err != nil || got != c.want {
-			t.Errorf("ParseQueue(%q) = %v, %v; want %v", c.spec, got, err, c.want)
-		}
-	}
-	if _, err := ParseQueue("fibonacci"); err == nil {
-		t.Error("unknown queue kind should fail")
-	}
-}
-
 func TestSingleScheduleTargetsNode(t *testing.T) {
 	g, _ := ParseGraph("path:10", 1)
 	s, err := ParseSchedule("single:7", 1)

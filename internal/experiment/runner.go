@@ -46,10 +46,6 @@ type RunSpec struct {
 	// CriticalPath traces the causal DAG and publishes its report on the
 	// RunResult.
 	CriticalPath bool
-	// Queue selects the asynchronous engine's event-queue implementation
-	// (ParseQueue syntax); the zero value is the 4-ary heap. Results are
-	// byte-identical for every kind.
-	Queue sim.QueueKind
 	// MemReport populates Res.Mem with the run's per-subsystem scratch
 	// footprint. Diagnostic only — leave off when Results are compared
 	// byte-for-byte.
@@ -341,7 +337,6 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 		RecordDigests: spec.RecordDigests,
 		Observer:      sim.StackObservers(stack...),
 		Engine:        eng,
-		Queue:         spec.Queue,
 		MemReport:     spec.MemReport,
 		Shards:        spec.Shards,
 		Sharded:       sharded,

@@ -53,13 +53,9 @@ type Config struct {
 	// StrictCongest makes the run fail if any message exceeds the CONGEST
 	// bit limit; otherwise violations are only counted.
 	StrictCongest bool
-	// Queue selects the event-queue implementation; the zero value is the
-	// 4-ary heap. The choice never changes a Result — both queues pop the
-	// identical (at, seq) order — only the cost profile (see QueueKind).
-	Queue QueueKind
 	// MemReport publishes the run's peak scratch footprint by subsystem
 	// into Result.Mem. Off by default so Results stay comparable across
-	// queue implementations and engine reuse.
+	// fresh and reused engines and across shard counts.
 	MemReport bool
 	// Trace installs a TraceObserver writing one CSV line per engine event
 	// (wake or delivery) to the writer; see the tracer documentation in
@@ -124,41 +120,17 @@ func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
 // setupForRun validates the config surface shared by the sequential and
 // sharded engines and resolves the run's Setup, delayer, and wake schedule.
 func setupForRun(cfg Config, alg Algorithm) (*Setup, Delayer, []Wakeup, error) {
-	if cfg.Graph == nil {
-		return nil, nil, nil, fmt.Errorf("sim: Config.Graph is required")
-	}
-	if alg == nil {
-		return nil, nil, nil, fmt.Errorf("sim: algorithm is required")
-	}
-	if cfg.Adversary.Schedule == nil {
-		return nil, nil, nil, fmt.Errorf("sim: Config.Adversary.Schedule is required")
-	}
-	s := cfg.Setup
-	if s == nil {
-		var err error
-		s, err = NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		if s.Graph != cfg.Graph {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for a different graph")
-		}
-		if s.Model != cfg.Model {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for model %v, config wants %v", s.Model, cfg.Model)
-		}
-		if cfg.Ports != nil && s.Ports != cfg.Ports {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for a different port map")
-		}
-		s = s.WithSeed(cfg.Seed)
+	s, wakeups, err := runInputs{
+		config: "Config", scheduleField: "Adversary.Schedule", alg: alg,
+		graph: cfg.Graph, ports: cfg.Ports, model: cfg.Model, schedule: cfg.Adversary.Schedule,
+		seed: cfg.Seed, advice: cfg.Advice, adviceBits: cfg.AdviceBits, setup: cfg.Setup,
+	}.resolve()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	delays := cfg.Adversary.Delays
 	if delays == nil {
 		delays = UnitDelay{}
-	}
-	wakeups := cfg.Adversary.Schedule.Wakeups(s.Graph)
-	if err := validateSchedule(s.Graph, wakeups); err != nil {
-		return nil, nil, nil, err
 	}
 	return s, delays, wakeups, nil
 }
@@ -226,9 +198,9 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	c.recOn = false
 	c.events = 0
 
-	if err := c.selectQueue(cfg.Queue, queueCapacity(n, g.M())); err != nil {
-		return nil, err
-	}
+	capacity := queueCapacity(n, g.M())
+	c.queue.reset(capacity)
+	c.resetSlab(capacity)
 
 	// Wake events enter through push, which maintains the heap invariant on
 	// its own — there is no separate "heapify" step. (The container/heap
@@ -266,7 +238,7 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 
 	c.acct.Finish(c.now)
 	if cfg.MemReport {
-		res.Mem = e.memReport(cfg.Queue)
+		res.Mem = e.memReport()
 	}
 	if c.obs != nil {
 		if err := c.obs.OnFinish(res); err != nil {

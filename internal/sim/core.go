@@ -143,9 +143,7 @@ type engineCore struct {
 	lo  int // first owned node
 	hi  int // one past the last owned node
 
-	queue eventQueue // points at heap or cal, per Config.Queue
-	heap  eventHeap
-	cal   calendarQueue
+	queue eventHeap
 
 	// Payload slab: the Delivery of every pending delivery event, addressed
 	// by event.slot. It is written once at send (hold) and read and freed
@@ -429,23 +427,6 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 		return
 	}
 	c.send(from, r.s.Ports.PortTo(from, to), m)
-}
-
-// selectQueue binds the core's queue interface to the configured
-// implementation, sizes it from the capacity hint, and empties the payload
-// slab that backs its delivery events.
-func (c *engineCore) selectQueue(kind QueueKind, capacity int) error {
-	switch kind {
-	case QueueHeap:
-		c.queue = &c.heap
-	case QueueCalendar:
-		c.queue = &c.cal
-	default:
-		return fmt.Errorf("sim: unknown queue kind %v", kind)
-	}
-	c.queue.reset(capacity)
-	c.resetSlab(capacity)
-	return nil
 }
 
 // runWindow is the sharded per-core loop for one window: push the inbox

@@ -29,7 +29,7 @@ func gcScanned(t reflect.Type, path string) string {
 
 // TestEventSlimPointerFree pins the queue's element layout: an event is at
 // most 24 bytes and holds nothing the garbage collector scans, so the heap
-// and the calendar buckets move small flat values without write barriers.
+// moves small flat values without write barriers.
 // A field that brings a pointer, interface, slice or map back into event —
 // a Delivery, say — must go to the payload slab instead.
 func TestEventSlimPointerFree(t *testing.T) {

@@ -29,12 +29,18 @@ func eventLess(x, y *event) bool {
 	return x.seq < y.seq
 }
 
+//wakeup:noalloc
 func (h *eventHeap) len() int { return len(h.a) }
 
-// peek implements eventQueue: the root is the minimum.
+// peek returns a pointer to the minimum event — the root — without
+// removing it. It must not be called on an empty heap, and the pointer is
+// valid only until the next heap operation. The sharded engine's window
+// drain peeks to decide whether the minimum still falls inside the window.
+//
+//wakeup:noalloc
 func (h *eventHeap) peek() *event { return &h.a[0] }
 
-// memBytes implements eventQueue: the heap's backing array.
+// memBytes reports the heap's backing array, for the memory report.
 func (h *eventHeap) memBytes() int64 { return int64(cap(h.a)) * eventBytes }
 
 // reset empties the heap, keeping the backing array for reuse; capacity is
@@ -47,7 +53,11 @@ func (h *eventHeap) reset(capacity int) {
 	h.a = h.a[:0]
 }
 
-// push adds ev, restoring the heap invariant by sifting up.
+// push adds ev, restoring the heap invariant by sifting up. Steady-state
+// pushes into a warmed heap do not allocate: the array grows only past its
+// high-water mark.
+//
+//wakeup:noalloc
 func (h *eventHeap) push(ev event) {
 	//lint:noalloc-ok grows to the high-water mark of in-flight events, then reuses the array (reset keeps capacity)
 	h.a = append(h.a, ev)
@@ -64,6 +74,8 @@ func (h *eventHeap) push(ev event) {
 
 // pop removes and returns the minimum event. It must not be called on an
 // empty heap.
+//
+//wakeup:noalloc
 func (h *eventHeap) pop() event {
 	a := h.a
 	min := a[0]

@@ -168,6 +168,8 @@ func TestEventHeapResetReusesBacking(t *testing.T) {
 
 // FuzzEventHeap feeds adversarial push/pop scripts — including long runs of
 // duplicate timestamps — through both heaps and requires identical pops.
+// Before every pop, peek must show the reference's minimum, since the
+// sharded engine's window drain decides on the peeked root.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 255, 2, 2}, int64(1))
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 10, 10}, int64(42))
@@ -180,6 +182,7 @@ func FuzzEventHeap(f *testing.F) {
 		var ats []Time
 		for _, b := range script {
 			if b%4 == 3 && h.len() > 0 {
+				peekMatches(t, &h, ref)
 				got := h.pop()
 				want := heap.Pop(ref).(event)
 				if got != want {
@@ -204,6 +207,7 @@ func FuzzEventHeap(f *testing.F) {
 		var last event
 		first := true
 		for h.len() > 0 {
+			peekMatches(t, &h, ref)
 			got := h.pop()
 			want := heap.Pop(ref).(event)
 			if got != want {
@@ -218,4 +222,13 @@ func FuzzEventHeap(f *testing.F) {
 			t.Fatalf("reference retains %d events", ref.Len())
 		}
 	})
+}
+
+// peekMatches requires the heap's peeked root to equal the container/heap
+// reference's minimum, which sits at index 0 of its backing slice.
+func peekMatches(t *testing.T, h *eventHeap, ref *refQueue) {
+	t.Helper()
+	if got, want := *h.peek(), (*ref)[0]; got != want {
+		t.Fatalf("peek mismatch: eventHeap %+v, container/heap minimum %+v", got, want)
+	}
 }

@@ -40,11 +40,9 @@ var (
 // compact source this was ~4.8 KiB per woken node and 96 % of a
 // million-node run).
 type MemReport struct {
-	// Queue names the event-queue implementation ("heap" or "calendar").
-	Queue string
-	// QueueBytes is the event queue's backing storage: the heap array, or
-	// the calendar's buckets, bitmap, and overflow heap. Queued events are
-	// 24-byte keys; the deliveries they carry are counted in PayloadBytes.
+	// QueueBytes is the event queue's backing storage: the heap array.
+	// Queued events are 24-byte keys; the deliveries they carry are
+	// counted in PayloadBytes.
 	QueueBytes int64
 	// PayloadBytes is the payload slab holding the Delivery of every
 	// pending delivery event, plus its free list of slot indices (summed
@@ -79,8 +77,8 @@ type MemReport struct {
 
 // String renders a compact single-line summary.
 func (m *MemReport) String() string {
-	s := fmt.Sprintf("mem[%s]: total=%s queue=%s payload=%s fifo=%s rng=%s csr=%s nodes=%s",
-		m.Queue, FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.PayloadBytes), FormatBytes(m.FIFOBytes),
+	s := fmt.Sprintf("mem: total=%s queue=%s payload=%s fifo=%s rng=%s csr=%s nodes=%s",
+		FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.PayloadBytes), FormatBytes(m.FIFOBytes),
 		FormatBytes(m.RNGBytes), FormatBytes(m.CSRBytes), FormatBytes(m.NodeBytes))
 	if m.Shards > 1 {
 		s += fmt.Sprintf(" shards=%d outbox=%s", m.Shards, FormatBytes(m.OutboxBytes))
@@ -106,10 +104,9 @@ func FormatBytes(b int64) string {
 // run state; queueBytes and payloadBytes are the (possibly per-shard
 // summed) event-queue and payload-slab figures supplied by the owning
 // engine.
-func (r *runShared) memReport(kind QueueKind, queueBytes, payloadBytes int64) *MemReport {
+func (r *runShared) memReport(queueBytes, payloadBytes int64) *MemReport {
 	s := r.s
 	m := &MemReport{
-		Queue:        kind.String(),
 		QueueBytes:   queueBytes,
 		PayloadBytes: payloadBytes,
 		FIFOBytes:    int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
@@ -130,9 +127,9 @@ func (c *engineCore) memBytes() (queue, payload int64) {
 }
 
 // memReport assembles the sequential engine's end-of-run accounting.
-func (e *AsyncEngine) memReport(kind QueueKind) *MemReport {
+func (e *AsyncEngine) memReport() *MemReport {
 	queue, payload := e.core.memBytes()
-	return e.run.memReport(kind, queue, payload)
+	return e.run.memReport(queue, payload)
 }
 
 // memReport assembles the sharded engine's end-of-run accounting: the
@@ -140,7 +137,7 @@ func (e *AsyncEngine) memReport(kind QueueKind) *MemReport {
 // staging machinery — outboxes, observer records, inboxes, and the
 // partition tables — lands in OutboxBytes, so `sweep -mem` stays truthful
 // about what -shards adds.
-func (e *ShardedEngine) memReport(kind QueueKind) *MemReport {
+func (e *ShardedEngine) memReport() *MemReport {
 	var queueBytes, payloadBytes, outbox int64
 	for i := range e.cores {
 		c := &e.cores[i]
@@ -155,7 +152,7 @@ func (e *ShardedEngine) memReport(kind QueueKind) *MemReport {
 	if p := e.part; p != nil {
 		outbox += int64(cap(p.Bounds))*4 + int64(cap(p.NodeShard)) + int64(cap(p.EdgeShard))
 	}
-	m := e.run.memReport(kind, queueBytes, payloadBytes)
+	m := e.run.memReport(queueBytes, payloadBytes)
 	m.Shards = len(e.cores)
 	m.OutboxBytes = outbox
 	m.TotalBytes += outbox

@@ -8,42 +8,36 @@ import (
 	"riseandshine/internal/graph"
 )
 
-func memConfig(q QueueKind, report bool) Config {
+func memConfig(report bool) Config {
 	return Config{
 		Graph:     graph.BinaryTree(127),
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: RandomDelay{Seed: 2}},
 		Seed:      1,
-		Queue:     q,
 		MemReport: report,
 	}
 }
 
 // TestMemReportPopulated checks the report's basic accounting contract:
-// every subsystem that the run touches reports a positive figure, the
-// total is the sum, and the queue is labelled correctly.
+// every subsystem that the run touches reports a positive figure and the
+// total is the sum.
 func TestMemReportPopulated(t *testing.T) {
-	for _, q := range []QueueKind{QueueHeap, QueueCalendar} {
-		res, err := RunAsync(memConfig(q, true), floodAlg{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := res.Mem
-		if m == nil {
-			t.Fatalf("queue %v: MemReport requested but Result.Mem is nil", q)
-		}
-		if m.Queue != q.String() {
-			t.Errorf("queue label %q, want %q", m.Queue, q.String())
-		}
-		if m.QueueBytes <= 0 || m.PayloadBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
-			t.Errorf("queue %v: subsystem bytes not all positive: %+v", q, m)
-		}
-		if sum := m.QueueBytes + m.PayloadBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
-			t.Errorf("queue %v: TotalBytes %d != subsystem sum %d", q, m.TotalBytes, sum)
-		}
-		if s := m.String(); !strings.Contains(s, q.String()) {
-			t.Errorf("String() = %q missing queue label", s)
-		}
+	res, err := RunAsync(memConfig(true), floodAlg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mem
+	if m == nil {
+		t.Fatal("MemReport requested but Result.Mem is nil")
+	}
+	if m.QueueBytes <= 0 || m.PayloadBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
+		t.Errorf("subsystem bytes not all positive: %+v", m)
+	}
+	if sum := m.QueueBytes + m.PayloadBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
+		t.Errorf("TotalBytes %d != subsystem sum %d", m.TotalBytes, sum)
+	}
+	if s := m.String(); !strings.HasPrefix(s, "mem: total="+FormatBytes(m.TotalBytes)) {
+		t.Errorf("String() = %q, want the total first", s)
 	}
 }
 
@@ -51,7 +45,7 @@ func TestMemReportPopulated(t *testing.T) {
 // for, and that the JSON encoding omits it — Results from mem-reporting
 // and plain runs must stay byte-comparable on every other field.
 func TestMemReportOffByDefault(t *testing.T) {
-	res, err := RunAsync(memConfig(QueueHeap, false), floodAlg{})
+	res, err := RunAsync(memConfig(false), floodAlg{})
 	if err != nil {
 		t.Fatal(err)
 	}

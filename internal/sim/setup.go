@@ -103,6 +103,62 @@ func (s *Setup) WithSeed(seed int64) *Setup {
 	return &c
 }
 
+// runInputs is the part of a run's configuration that the asynchronous
+// and synchronous engines resolve identically. config and scheduleField
+// name the caller's config type and the path of its wake scheduler, so
+// errors cite the field the caller actually set.
+type runInputs struct {
+	config, scheduleField string
+	alg                   any
+	graph                 *graph.Graph
+	ports                 *graph.PortMap
+	model                 Model
+	schedule              WakeScheduler
+	seed                  int64
+	advice                [][]byte
+	adviceBits            []int
+	setup                 *Setup
+}
+
+// resolve checks the required inputs and returns the run's Setup and
+// validated wake schedule. A prebuilt Setup must match the graph, model
+// and ports, and is reseeded to the run seed; otherwise one is built.
+func (in runInputs) resolve() (*Setup, []Wakeup, error) {
+	if in.graph == nil {
+		return nil, nil, fmt.Errorf("sim: %s.Graph is required", in.config)
+	}
+	if in.alg == nil {
+		return nil, nil, fmt.Errorf("sim: algorithm is required")
+	}
+	if in.schedule == nil {
+		return nil, nil, fmt.Errorf("sim: %s.%s is required", in.config, in.scheduleField)
+	}
+	s := in.setup
+	if s == nil {
+		var err error
+		s, err = NewSetup(in.graph, in.ports, in.model, in.seed, in.advice, in.adviceBits)
+		if err != nil {
+			return nil, nil, err
+		}
+	} else {
+		if s.Graph != in.graph {
+			return nil, nil, fmt.Errorf("sim: %s.Setup was built for a different graph", in.config)
+		}
+		if s.Model != in.model {
+			return nil, nil, fmt.Errorf("sim: %s.Setup was built for model %v, config wants %v", in.config, s.Model, in.model)
+		}
+		if in.ports != nil && s.Ports != in.ports {
+			return nil, nil, fmt.Errorf("sim: %s.Setup was built for a different port map", in.config)
+		}
+		s = s.WithSeed(in.seed)
+	}
+	wakeups := in.schedule.Wakeups(s.Graph)
+	if err := validateSchedule(s.Graph, wakeups); err != nil {
+		return nil, nil, err
+	}
+	return s, wakeups, nil
+}
+
 // Rand returns node v's private randomness source, derived from the run
 // seed by the engine-independent NodeRand rule.
 func (s *Setup) Rand(v int) *rand.Rand { return NodeRand(s.Seed, v) }

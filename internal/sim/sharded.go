@@ -41,8 +41,8 @@ type shardCmd struct {
 // sends are k-way merged by the sending event's key (at, vseq) — stable
 // within a core, and keys are globally unique — which is exactly the
 // sequential engine's push order, so the consecutively assigned vseq
-// numbers equal the seq numbers AsyncEngine would have used. Both queues
-// order by (at, seq), hence every core processes its events in the same
+// numbers equal the seq numbers AsyncEngine would have used. Every queue
+// orders by (at, seq), hence every core processes its events in the same
 // relative order the sequential engine would, and the marshaled Result is
 // byte-identical at every shard count — pinned by the differential tests.
 //
@@ -187,9 +187,8 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		c.nextAt = infTime
 		truncateStaged(c)
 		truncateRec(c)
-		if err := c.selectQueue(cfg.Queue, capacity); err != nil {
-			return nil, err
-		}
+		c.queue.reset(capacity)
+		c.resetSlab(capacity)
 		for v := c.lo; v < c.hi; v++ {
 			e.run.ctxs[v] = coreCtx{c: c, node: v}
 		}
@@ -361,7 +360,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	master.Finish(end)
 	res := master.Result()
 	if cfg.MemReport {
-		res.Mem = e.memReport(cfg.Queue)
+		res.Mem = e.memReport()
 	}
 	if obs != nil {
 		if err := obs.OnFinish(res); err != nil {

@@ -25,8 +25,7 @@ func (d quantizedLookahead) Lookahead() float64 { return 1 / float64(d.q) }
 
 // shardedConfigs is the mixed workload for the sharded differential suite:
 // graphs that shrink and grow between runs (so reused engines exercise both
-// scratch paths), every lookahead-bearing delayer flavor, and both queue
-// implementations.
+// scratch paths) and every lookahead-bearing delayer flavor.
 func shardedConfigs(t *testing.T) []Config {
 	t.Helper()
 	graphs := []*graph.Graph{
@@ -53,7 +52,6 @@ func shardedConfigs(t *testing.T) []Config {
 					Delays:   d,
 				},
 				Seed:          int64(i + j*5),
-				Queue:         QueueKind((i + j) % 2),
 				RecordDigests: true,
 			})
 		}
@@ -75,7 +73,7 @@ func runTraced(t *testing.T, run func(Config, Algorithm) (*Result, error), cfg C
 }
 
 // TestShardedByteIdentical is the tentpole differential: across the mixed
-// workload, every shard count, both queues, and reused engines, the sharded
+// workload, every shard count, and reused engines, the sharded
 // engine's marshaled Result (digests included) and its event trace must be
 // byte-for-byte the sequential engine's.
 func TestShardedByteIdentical(t *testing.T) {
@@ -264,7 +262,6 @@ func FuzzShardedFIFO(f *testing.F) {
 				Delays:   quantizedLookahead{quantizedDelay{inner: RandomDelay{Seed: seed}, q: q}},
 			},
 			Seed:          seed,
-			Queue:         QueueKind(int(qRaw) % 2),
 			RecordDigests: true,
 		}
 		alg := fuzzAlg{budget: int(budget)%16 + 1}

@@ -100,39 +100,15 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 		tr.ExecBegin(1)
 		t0 = tr.ExecNow()
 	}
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("sim: SyncConfig.Graph is required")
-	}
-	if alg == nil {
-		return nil, fmt.Errorf("sim: algorithm is required")
-	}
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("sim: SyncConfig.Schedule is required")
-	}
-	s := cfg.Setup
-	if s == nil {
-		var err error
-		s, err = NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if s.Graph != cfg.Graph {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for a different graph")
-		}
-		if s.Model != cfg.Model {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for model %v, config wants %v", s.Model, cfg.Model)
-		}
-		if cfg.Ports != nil && s.Ports != cfg.Ports {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for a different port map")
-		}
-		s = s.WithSeed(cfg.Seed)
-	}
-	g := s.Graph
-	wakeups := cfg.Schedule.Wakeups(g)
-	if err := validateSchedule(g, wakeups); err != nil {
+	s, wakeups, err := runInputs{
+		config: "SyncConfig", scheduleField: "Schedule", alg: alg,
+		graph: cfg.Graph, ports: cfg.Ports, model: cfg.Model, schedule: cfg.Schedule,
+		seed: cfg.Seed, advice: cfg.Advice, adviceBits: cfg.AdviceBits, setup: cfg.Setup,
+	}.resolve()
+	if err != nil {
 		return nil, err
 	}
+	g := s.Graph
 
 	n := g.N()
 	e := &syncEngine{

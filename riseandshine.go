@@ -105,9 +105,6 @@ type (
 	// Pass one per sweep worker via RunConfig.Sharded; the zero value is
 	// ready to use. Not safe for concurrent use.
 	ShardedEngine = sim.ShardedEngine
-	// QueueKind selects the asynchronous engine's event-queue
-	// implementation; any kind produces byte-identical Results.
-	QueueKind = sim.QueueKind
 	// MemReport is the per-subsystem scratch footprint of one asynchronous
 	// run (see RunConfig.MemReport).
 	MemReport = sim.MemReport
@@ -129,16 +126,6 @@ type (
 // engines (sequential and sharded alike); synchronous rounds are ≥ 0, so
 // Round() < 0 is the engine-transparent "am I asynchronous" branch.
 const AsyncRound = sim.AsyncRound
-
-// Event-queue implementations for RunConfig.Queue.
-const (
-	// QueueHeap is the default 4-ary min-heap: O(log k) per operation,
-	// robust on every workload.
-	QueueHeap = sim.QueueHeap
-	// QueueCalendar is the calendar (bucket) queue exploiting the bounded
-	// delay horizon τ: amortized O(1) per operation on large sparse runs.
-	QueueCalendar = sim.QueueCalendar
-)
 
 // FormatBytes renders a byte count with a binary unit suffix (B, KiB, MiB,
 // GiB) for memory-report output.

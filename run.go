@@ -69,14 +69,9 @@ type RunConfig struct {
 	// Shards > 1 runs (the analogue of Engine). Not safe for concurrent
 	// use — give each sweep worker its own.
 	Sharded *ShardedEngine
-	// Queue selects the asynchronous engine's event-queue implementation.
-	// The zero value is the 4-ary heap; QueueCalendar switches to the
-	// calendar queue, which pops in byte-identical order. Synchronous
-	// algorithms ignore it.
-	Queue QueueKind
 	// MemReport populates Result.Mem with the run's per-subsystem scratch
 	// footprint (asynchronous engine only). Diagnostic: leave off when
-	// comparing Results byte-for-byte across queue kinds or engine reuse.
+	// comparing Results byte-for-byte across engine reuse.
 	MemReport bool
 	// ExecTrace, when non-nil, records the run's execution timeline into
 	// the flight recorder: setup/run/finish phases on every engine, plus
@@ -241,7 +236,6 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		Trace:         cfg.Trace,
 		RecordDigests: cfg.RecordDigests,
 		Observer:      observer,
-		Queue:         cfg.Queue,
 		MemReport:     cfg.MemReport,
 		Shards:        cfg.Shards,
 		Tracer:        tracer,
