@@ -63,3 +63,23 @@ func TestGoodGraphSpecRuns(t *testing.T) {
 		t.Fatalf("-graph torus:3x5: exit status %d, stderr %q", code, stderr)
 	}
 }
+
+// TestBadScheduleSpecExitsTwo pins the same contract for wake schedules:
+// a non-finite or negative gap or window is a usage error, never a run
+// with NaN or infinite wake times.
+func TestBadScheduleSpecExitsTwo(t *testing.T) {
+	for _, spec := range []string{
+		"staggered:1,1:NaN", "staggered:1,1:Inf", "staggered:1,1:-2",
+		"random:2:NaN", "random:2:-Inf", "random:2:-1",
+	} {
+		for _, alg := range []string{"flood", "fast-wakeup"} {
+			code, stderr := runWakeup(t, "-graph", "path:10", "-alg", alg, "-awake", spec)
+			if code != 2 {
+				t.Errorf("-alg %s -awake %s: exit status %d, want 2 (stderr %q)", alg, spec, code, stderr)
+			}
+			if lines := strings.Count(stderr, "\n"); lines != 1 || !strings.HasPrefix(stderr, "wakeup: ") {
+				t.Errorf("-alg %s -awake %s: want one \"wakeup: ...\" error line, got %d lines: %q", alg, spec, lines, stderr)
+			}
+		}
+	}
+}

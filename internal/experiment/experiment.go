@@ -332,7 +332,7 @@ func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
 			}
 		}
 		if len(parts) > 2 {
-			if window, err = strconv.ParseFloat(parts[2], 64); err != nil {
+			if window, err = parseSpan(spec, "window", parts[2]); err != nil {
 				return nil, err
 			}
 		}
@@ -349,7 +349,7 @@ func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
 			}
 			sizes = append(sizes, v)
 		}
-		gap, err := strconv.ParseFloat(parts[2], 64)
+		gap, err := parseSpan(spec, "gap", parts[2])
 		if err != nil {
 			return nil, err
 		}
@@ -357,6 +357,19 @@ func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
 	default:
 		return nil, fmt.Errorf("experiment: unknown schedule %q", parts[0])
 	}
+}
+
+// parseSpan parses the time span of a wake schedule (a random window or a
+// staggered gap): a finite number ≥ 0.
+func parseSpan(spec, what, s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("experiment: schedule %q: %s must be a finite number >= 0", spec, what)
+	}
+	return v, nil
 }
 
 // ParseDelays builds a delay adversary from "unit", "random", or

@@ -198,7 +198,11 @@ func TestParseScheduleSpecs(t *testing.T) {
 }
 
 func TestParseScheduleErrors(t *testing.T) {
-	for _, spec := range []string{"bogus", "single:x", "random:y", "staggered:1,2", "staggered:a:3"} {
+	for _, spec := range []string{
+		"bogus", "single:x", "random:y", "staggered:1,2", "staggered:a:3",
+		"staggered:1,1:NaN", "staggered:1,1:Inf", "staggered:1,1:-Inf", "staggered:1,1:-1",
+		"random:4:NaN", "random:4:+Inf", "random:4:-0.5", "random:4:1e400",
+	} {
 		if _, err := ParseSchedule(spec, 1); err == nil {
 			t.Errorf("spec %q should fail", spec)
 		}

@@ -1,32 +1,22 @@
 package sim
 
-// AsSync adapts a purely message-driven asynchronous algorithm to the
-// synchronous engine: OnWake maps to the wake round and each delivered
-// message becomes an OnMessage call during OnRound. This is exactly the
-// classical simulation of an asynchronous algorithm in a synchronous
-// network (unit delays).
-func AsSync(alg Algorithm) SyncAlgorithm { return syncAdapted{alg: alg} }
+// AsSync adapts a purely message-driven asynchronous algorithm to
+// synchronous rounds (RunSync): OnWake maps to the wake round and each
+// message of the round's inbox becomes an OnMessage call during OnRound,
+// in delivery order. This is exactly the classical simulation of an
+// asynchronous algorithm in a synchronous network (unit delays).
+func AsSync(alg Algorithm) SyncAlgorithm { return syncAdapted{alg} }
 
-type syncAdapted struct {
-	alg Algorithm
-}
-
-var _ SyncAlgorithm = syncAdapted{}
-
-func (a syncAdapted) Name() string { return a.alg.Name() }
+type syncAdapted struct{ Algorithm }
 
 func (a syncAdapted) NewMachine(info NodeInfo) SyncProgram {
-	return &syncAdaptedMachine{p: a.alg.NewMachine(info)}
+	return syncAdaptedMachine{a.Algorithm.NewMachine(info)}
 }
 
-type syncAdaptedMachine struct {
-	p Program
-}
+type syncAdaptedMachine struct{ Program }
 
-func (m *syncAdaptedMachine) OnWake(ctx Context) { m.p.OnWake(ctx) }
-
-func (m *syncAdaptedMachine) OnRound(ctx Context, inbox []Delivery) {
+func (m syncAdaptedMachine) OnRound(ctx Context, inbox []Delivery) {
 	for _, d := range inbox {
-		m.p.OnMessage(ctx, d)
+		m.OnMessage(ctx, d)
 	}
 }

@@ -320,8 +320,9 @@ func (d BiasedDelay) Lookahead() float64 {
 	return fast
 }
 
-// Validate checks the schedule against the graph, returning a descriptive
-// error for out-of-range nodes, negative times, or an empty schedule.
+// validateSchedule checks the schedule against the graph, returning a
+// descriptive error for out-of-range nodes, non-finite or negative times,
+// or an empty schedule.
 func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
 	if len(wakeups) == 0 {
 		return fmt.Errorf("sim: adversary wake schedule is empty")
@@ -329,6 +330,9 @@ func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
 	for _, w := range wakeups {
 		if w.Node < 0 || w.Node >= g.N() {
 			return fmt.Errorf("sim: wakeup node %d out of range [0,%d)", w.Node, g.N())
+		}
+		if math.IsNaN(float64(w.At)) || math.IsInf(float64(w.At), 0) {
+			return fmt.Errorf("sim: wakeup time %v is not finite", w.At)
 		}
 		if w.At < 0 {
 			return fmt.Errorf("sim: wakeup time %v is negative", w.At)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"io"
 
 	"riseandshine/internal/graph"
@@ -101,6 +100,8 @@ const wakeSlot int32 = -1
 //
 // An AsyncEngine is a single engineCore spanning the whole node range; the
 // sharded engine runs many cores over a partition (see ShardedEngine).
+// RunSync drives the same core in lock-step rounds, so one engine serves
+// synchronous and asynchronous runs alike.
 //
 // An AsyncEngine is not safe for concurrent use and must not be copied
 // after its first Run (per-node contexts hold a pointer to its core); give
@@ -108,6 +109,12 @@ const wakeSlot int32 = -1
 type AsyncEngine struct {
 	run  runShared
 	core engineCore
+
+	// RunSync's scratch: the SyncProgram adapter with its machine boxes,
+	// and the current round's delivery events and inbox.
+	sync  syncPrograms
+	due   []event
+	inbox []Delivery
 }
 
 // RunAsync executes alg on the configured network until the event queue is
@@ -154,53 +161,25 @@ func maxEventsFor(cfg Config) int {
 	return DefaultMaxEvents
 }
 
+// begin starts a run on the engine's single core spanning every node: the
+// start step Run and RunSync share.
+func (e *AsyncEngine) begin(tr ExecTracer, alg Algorithm, s *Setup, delays Delayer, seed int64, trackPorts bool, obs Observer) *engineCore {
+	n := s.Graph.N()
+	e.run.begin(tr, 1, alg, s, delays, seed, nil)
+	e.core.begin(&e.run, 0, n, NewAccounting(s, alg.Name(), trackPorts), obs, false, queueCapacity(n, s.Graph.M()))
+	return &e.core
+}
+
 // Run executes one configuration on the engine, resetting — not
 // reallocating — the scratch state left by any previous run.
 func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	tr := cfg.Tracer
-	var t0 int64
-	if tr != nil {
-		tr.ExecBegin(1)
-		t0 = tr.ExecNow()
-	}
+	t0 := execNow(tr)
 	s, delays, wakeups, err := setupForRun(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
-	g := s.Graph
-	n := g.N()
-
-	e.run.alg = alg
-	e.run.g = g
-	e.run.s = s
-	e.run.delays = delays
-	e.run.seed = cfg.Seed
-	e.run.part = nil
-	e.run.reset(n, int(s.EdgeStart[n]))
-	if len(e.run.ctxs) < n {
-		e.run.ctxs = make([]coreCtx, n)
-		for v := range e.run.ctxs {
-			e.run.ctxs[v] = coreCtx{c: &e.core, node: v}
-		}
-	}
-
-	c := &e.core
-	c.run = &e.run
-	c.id = 0
-	c.lo = 0
-	c.hi = n
-	c.acct = NewAccounting(s, alg.Name(), cfg.TrackPorts)
-	c.obs = cfg.observer()
-	c.now = 0
-	c.seq = 0
-	c.err = nil
-	c.staging = false
-	c.recOn = false
-	c.events = 0
-
-	capacity := queueCapacity(n, g.M())
-	c.queue.reset(capacity)
-	c.resetSlab(capacity)
+	c := e.begin(tr, alg, s, delays, cfg.Seed, cfg.TrackPorts, cfg.observer())
 
 	// Wake events enter through push, which maintains the heap invariant on
 	// its own — there is no separate "heapify" step. (The container/heap
@@ -212,14 +191,10 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 
 	maxEvents := maxEventsFor(cfg)
 	res := c.acct.Result()
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
+	t1 := setupSpan(tr, t0)
 	for c.queue.len() > 0 {
 		if res.Events >= maxEvents {
-			return nil, fmt.Errorf("sim: event limit %d exceeded (algorithm %q may not terminate)", maxEvents, alg.Name())
+			return nil, eventLimitErr(maxEvents, alg)
 		}
 		ev := c.queue.pop()
 		c.now = ev.at
@@ -229,31 +204,10 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 			return nil, c.err
 		}
 	}
-
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
-	}
-
-	c.acct.Finish(c.now)
 	if cfg.MemReport {
 		res.Mem = e.memReport()
 	}
-	if c.obs != nil {
-		if err := c.obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := c.acct.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	return finishRun(tr, t1, c.acct, c.now, c.obs, cfg.StrictCongest)
 }
 
 // growClear returns s with length n and every element zeroed, reusing the

@@ -7,15 +7,15 @@ import (
 	"riseandshine/internal/graph"
 )
 
-// This file is the engine core shared by the sequential AsyncEngine and
-// the ShardedEngine: one event loop over a contiguous node range. The
-// sequential engine is a single core spanning [0, n); the sharded engine
-// runs one core per partition and reconciles them at window barriers (see
-// sharded.go and DESIGN.md "Sharded engine").
+// This file is the engine core shared by the sequential AsyncEngine, its
+// synchronous rounds (RunSync) and the ShardedEngine: one event loop over a
+// contiguous node range. The sequential engine is a single core spanning
+// [0, n); the sharded engine runs one core per partition and reconciles
+// them at window barriers (see sharded.go and DESIGN.md "Sharded engine").
 //
 // The split keeps every per-message code path — wake, deliver, send, the
-// FIFO clamp, CONGEST accounting — in exactly one place, so the two
-// engines cannot drift: byte-identical Results are a structural property,
+// FIFO clamp, CONGEST accounting — in exactly one place, so the engines
+// cannot drift: byte-identical Results are a structural property,
 // pinned end to end by the differential tests.
 
 // runShared is the per-run state shared by every core of one engine:
@@ -25,7 +25,6 @@ import (
 // sharded engine race-free without any locking on the hot path.
 type runShared struct {
 	alg    Algorithm
-	g      *graph.Graph
 	s      *Setup
 	delays Delayer
 	seed   int64
@@ -61,8 +60,10 @@ type runShared struct {
 	part *Partition
 }
 
-// reset sizes and clears the shared scratch for n nodes and dir directed
-// edges, reusing backing arrays whenever they are large enough. The RNG
+// begin is the shared start step of every run on every engine, called
+// once the run's inputs are resolved: it declares the run's execution-trace
+// tracks, binds the inputs, and sizes and clears the shared scratch for the
+// topology, reusing backing arrays whenever they are large enough. The RNG
 // tables are deliberately kept across runs: a node's first Rand() call
 // reseeds its generator to the run's stream, which produces exactly the
 // bits a fresh NodeRand would (see ReseedNode), so only growth ever
@@ -71,12 +72,22 @@ type runShared struct {
 // must wrap &rngs[v] of the *new* backing array — which is the one O(n)
 // RNG cost left anywhere (64 B of writes per node; the old per-node
 // lagged-Fibonacci sources cost ~5 KiB and O(607) seeding work each).
-func (r *runShared) reset(n, dir int) {
+func (r *runShared) begin(tr ExecTracer, tracks int, alg Algorithm, s *Setup, delays Delayer, seed int64, part *Partition) {
+	if tr != nil {
+		tr.ExecBegin(tracks)
+	}
+	r.alg = alg
+	r.s = s
+	r.delays = delays
+	r.seed = seed
+	r.part = part
+	n := s.Graph.N()
 	r.awake = growClear(r.awake, n)
 	r.seeded = growClear(r.seeded, n)
 	r.machines = growClear(r.machines, n)
-	r.fifoLast = growClear(r.fifoLast, dir)
-	r.edgeSeq = growClear(r.edgeSeq, dir)
+	r.ctxs = growClear(r.ctxs, n)
+	r.fifoLast = growClear(r.fifoLast, int(s.EdgeStart[n]))
+	r.edgeSeq = growClear(r.edgeSeq, int(s.EdgeStart[n]))
 	if len(r.rngs) < n {
 		r.rngs = make([]PCG, n)
 		r.rands = make([]rand.Rand, n)
@@ -84,6 +95,54 @@ func (r *runShared) reset(n, dir int) {
 			r.rands[v] = *rand.New(&r.rngs[v])
 		}
 	}
+}
+
+// execNow reads the tracer's clock, or returns 0 without a tracer: the
+// start of a run's setup span.
+func execNow(tr ExecTracer) int64 {
+	if tr == nil {
+		return 0
+	}
+	return tr.ExecNow()
+}
+
+// setupSpan records the setup span [t0, now) on track 0 and returns its
+// end, the start of the run span.
+func setupSpan(tr ExecTracer, t0 int64) int64 {
+	if tr == nil {
+		return 0
+	}
+	t1 := tr.ExecNow()
+	tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
+	return t1
+}
+
+// finishRun is the shared finish step of every run: it records the run
+// span [t1, now) with the Result's event count, closes the accounting at
+// the end time, hands the Result to the observer, enforces StrictCongest,
+// and records the finish span.
+func finishRun(tr ExecTracer, t1 int64, acct *Accounting, end Time, obs Observer, strict bool) (*Result, error) {
+	res := acct.Result()
+	var t2 int64
+	if tr != nil {
+		t2 = tr.ExecNow()
+		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
+	}
+	acct.Finish(end)
+	if obs != nil {
+		if err := obs.OnFinish(res); err != nil {
+			return res, fmt.Errorf("sim: %w", err)
+		}
+	}
+	if strict {
+		if err := acct.CongestError(); err != nil {
+			return res, err
+		}
+	}
+	if tr != nil {
+		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
+	}
+	return res, nil
 }
 
 // Observer record kinds for the sharded engine's record/replay channel.
@@ -132,16 +191,13 @@ type heldEvent struct {
 	d  Delivery
 }
 
-// engineCore is one event loop over the contiguous node range [lo, hi).
-// The sequential engine owns a single core with staging off; the sharded
+// engineCore is one event loop over a contiguous node range, whose
+// contexts begin binds to the core. The sequential engine owns a single core with staging off; the sharded
 // engine owns one per partition with staging on, in which case push never
 // runs — every send is staged and events enter the queue only through the
 // inbox at window starts, already carrying their barrier-assigned vseq.
 type engineCore struct {
 	run *runShared
-	id  int // shard index; 0 in the sequential engine
-	lo  int // first owned node
-	hi  int // one past the last owned node
 
 	queue eventHeap
 
@@ -156,9 +212,10 @@ type engineCore struct {
 	acct *Accounting
 	obs  Observer // direct observer; nil in sharded cores (recOn instead)
 
-	now Time
-	seq int64 // sequential push counter; unused when staging
-	err error
+	now   Time
+	round int   // Context.Round: the round number on a synchronous run, AsyncRound otherwise
+	seq   int64 // sequential push counter; unused when staging
+	err   error
 
 	// Sharded-mode state. curAt/curVseq are the key of the event being
 	// processed — the tag for staged children and observer records.
@@ -171,6 +228,33 @@ type engineCore struct {
 	events  int  // events processed by this core this run
 	lastAt  Time // time of the last processed event
 	nextAt  Time // after a window: time of the first event ≥ windowEnd
+}
+
+// begin resets the core for a run over the node range [lo, hi) of run and
+// binds those nodes' contexts to it: the per-core half of the start step.
+// Contexts are rebound every run, since the core that owns a node can
+// change between runs of a sharded engine. A staging core (sharded runs)
+// stages every send and records observer calls when obs is non-nil; a
+// non-staging core pushes sends into its own queue and calls obs directly.
+// capacity pre-sizes the event queue and payload slab.
+func (c *engineCore) begin(run *runShared, lo, hi int, acct *Accounting, obs Observer, staging bool, capacity int) {
+	c.run = run
+	for v := lo; v < hi; v++ {
+		run.ctxs[v] = coreCtx{c: c, node: v}
+	}
+	c.acct = acct
+	c.obs, c.recOn = obs, false
+	if staging {
+		c.obs, c.recOn = nil, obs != nil
+	}
+	c.staging = staging
+	c.now, c.round, c.seq, c.err = 0, AsyncRound, 0, nil
+	c.curAt, c.curVseq = 0, 0
+	c.events, c.lastAt, c.nextAt = 0, 0, infTime
+	truncateStaged(c)
+	truncateRec(c)
+	c.queue.reset(capacity)
+	c.resetSlab(capacity)
 }
 
 // coreCtx is the Context handed to machine handlers; it is bound to one
@@ -191,7 +275,7 @@ func (c *coreCtx) Info() NodeInfo { return c.c.run.s.Infos[c.node] }
 func (c *coreCtx) Now() Time { return c.c.now }
 
 //wakeup:noalloc
-func (c *coreCtx) Round() int { return AsyncRound }
+func (c *coreCtx) Round() int { return c.c.round }
 
 // Rand returns the node's private generator, reseeding it to the run's
 // stream on the node's first call of the run. Every draw goes through
@@ -420,10 +504,11 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 		c.err = fmt.Errorf("sim: SendToID requires KT1 (model is %v)", r.s.Model.Knowledge)
 		return
 	}
-	to := r.g.IndexOf(id)
-	if to == -1 || !r.g.HasEdge(from, to) {
+	g := r.s.Graph
+	to := g.IndexOf(id)
+	if to == -1 || !g.HasEdge(from, to) {
 		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
-		c.err = fmt.Errorf("sim: node ID %d has no neighbor with ID %d", r.g.ID(from), id)
+		c.err = fmt.Errorf("sim: node ID %d has no neighbor with ID %d", g.ID(from), id)
 		return
 	}
 	c.send(from, r.s.Ports.PortTo(from, to), m)

@@ -16,7 +16,8 @@ type ctxProbe struct {
 	targets []graph.NodeID
 }
 
-// asyncProbeAlg exercises asyncCtx.Info/Now/Round inside a handler.
+// asyncProbeAlg exercises the Context's Info, Now and Round inside an
+// asynchronous handler.
 type asyncProbeAlg struct{ p *ctxProbe }
 
 func (asyncProbeAlg) Name() string { return "async-ctx-probe" }
@@ -62,7 +63,8 @@ func TestAsyncContextAccessors(t *testing.T) {
 	}
 }
 
-// syncIDAlg exercises syncCtx.SendToID and Info under KT1.
+// syncIDAlg exercises the Context's SendToID and Info under KT1 in
+// synchronous rounds.
 type syncIDAlg struct{ p *ctxProbe }
 
 func (syncIDAlg) Name() string { return "sync-id" }

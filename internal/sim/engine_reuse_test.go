@@ -103,6 +103,43 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSyncEngineReuseByteIdentical extends the reuse guard to synchronous
+// rounds: one AsyncEngine alternating RunSync and Run over the mixed
+// workload must reproduce, byte for byte, fresh engines for both.
+func TestSyncEngineReuseByteIdentical(t *testing.T) {
+	eng := &AsyncEngine{}
+	alg := fuzzAlg{budget: 12}
+	for i, cfg := range reuseConfigs(t) {
+		syncRun := func(run func(SyncConfig, SyncAlgorithm) (*Result, error)) []byte {
+			res, err := run(SyncConfig{
+				Graph:    cfg.Graph,
+				Model:    cfg.Model,
+				Schedule: cfg.Adversary.Schedule,
+				Seed:     cfg.Seed,
+				Observer: NewDigestObserver(false),
+			}, AsSync(alg))
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			return marshalResult(t, res)
+		}
+		if a, b := syncRun(RunSync), syncRun(eng.RunSync); !bytes.Equal(a, b) {
+			t.Fatalf("run %d: reused engine's rounds diverged from a fresh engine's\nfresh:  %s\nreused: %s", i, a, b)
+		}
+		fresh, err := RunAsync(cfg, alg)
+		if err != nil {
+			t.Fatalf("run %d fresh: %v", i, err)
+		}
+		reused, err := eng.Run(cfg, alg)
+		if err != nil {
+			t.Fatalf("run %d reused: %v", i, err)
+		}
+		if a, b := marshalResult(t, fresh), marshalResult(t, reused); !bytes.Equal(a, b) {
+			t.Fatalf("run %d: async run after synchronous rounds diverged\nfresh:  %s\nreused: %s", i, a, b)
+		}
+	}
+}
+
 // TestSetupReuseByteIdentical checks the other reuse axis: one Setup built
 // once per topology and reseeded per run must match per-run NewSetup.
 func TestSetupReuseByteIdentical(t *testing.T) {
@@ -136,7 +173,7 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 
 // TestEngineRNGWrappersAliasState pins the SoA wiring behind the compact
 // node RNG: every rands[v] wrapper must draw from rngs[v] of the *current*
-// backing array, including after reset() grows both slices and rebinds the
+// backing array, including after begin() grows both slices and rebinds the
 // wrappers. A stale wrapper pointing into a discarded rngs array would
 // still produce plausible random numbers — runs would silently stop
 // depending on (seed, v) — so this checks aliasing directly: seeding
@@ -237,4 +274,71 @@ func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("per-run constant allocation count too high: %.0f", bigAllocs)
 	}
 	t.Logf("allocs/run: %.0f (at %d msgs) and %.0f (at %d msgs)", smallAllocs, smallMsgs, bigAllocs, bigMsgs)
+}
+
+// chatterAlg broadcasts a ping in each of its first rounds rounds after
+// waking, then falls quiet: rounds scales a synchronous run's round and
+// message counts together at a fixed network size.
+type chatterAlg struct{ rounds int }
+
+func (chatterAlg) Name() string { return "chatter-test" }
+func (a chatterAlg) NewMachine(NodeInfo) SyncProgram {
+	return &chatterMachine{left: a.rounds}
+}
+
+type chatterMachine struct{ left int }
+
+func (*chatterMachine) OnWake(Context) {}
+
+func (m *chatterMachine) OnRound(ctx Context, _ []Delivery) {
+	if m.left > 0 {
+		m.left--
+		ctx.Broadcast(pingMsg{})
+	}
+}
+
+func (m *chatterMachine) Quiescent() bool { return m.left == 0 }
+
+// TestSyncSteadyStateZeroAllocs is the synchronous counterpart of
+// TestAsyncSteadyStateZeroAllocs: on a reused engine, a run's allocation
+// count must not depend on how many rounds it steps or messages it
+// delivers. Two workloads at the same n, 10× apart in both, must allocate
+// the same, and no more than the per-run Result assembly plus one machine
+// per node.
+func TestSyncSteadyStateZeroAllocs(t *testing.T) {
+	const n = 24
+	g := graph.Complete(n)
+	model := Model{Knowledge: KT0, Bandwidth: Local}
+	s, err := NewSetup(g, nil, model, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &AsyncEngine{}
+	measure := func(rounds int) (allocs float64, res *Result) {
+		cfg := SyncConfig{Graph: g, Model: model, Schedule: WakeAll{}, Seed: 1, Setup: s}
+		run := func() *Result {
+			res, err := eng.RunSync(cfg, chatterAlg{rounds: rounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		res = run() // also warms the engine scratch
+		return testing.AllocsPerRun(5, func() { run() }), res
+	}
+	smallAllocs, small := measure(2)
+	bigAllocs, big := measure(20)
+	if big.Rounds < 8*small.Rounds || big.Messages < 8*small.Messages {
+		t.Fatalf("workloads not separated: %d rounds/%d msgs vs %d rounds/%d msgs",
+			small.Rounds, small.Messages, big.Rounds, big.Messages)
+	}
+	if bigAllocs != smallAllocs {
+		t.Errorf("allocation count scales with rounds or traffic: %.0f allocs at %d rounds/%d msgs, %.0f allocs at %d rounds/%d msgs (want equal)",
+			smallAllocs, small.Rounds, small.Messages, bigAllocs, big.Rounds, big.Messages)
+	}
+	if bigAllocs > 40+n {
+		t.Errorf("per-run allocation count too high: %.0f, want at most 40 + one machine per node (%d)", bigAllocs, 40+n)
+	}
+	t.Logf("allocs/run: %.0f (%d rounds, %d msgs) and %.0f (%d rounds, %d msgs)",
+		smallAllocs, small.Rounds, small.Messages, bigAllocs, big.Rounds, big.Messages)
 }

@@ -220,8 +220,10 @@ type Program interface {
 // SyncProgram is the per-node state machine of a synchronous algorithm.
 // OnWake is called at the start of the round in which the node wakes;
 // OnRound is then called once per round (including the wake round), with
-// the messages delivered at the start of that round. Nodes do not share a
-// global clock: a machine can only count rounds since its own wake-up.
+// the messages delivered at the start of that round, in send order. The
+// inbox slice is engine scratch, valid only during the call: a machine
+// that keeps messages must copy them out. Nodes do not share a global
+// clock: a machine can only count rounds since its own wake-up.
 type SyncProgram interface {
 	OnWake(ctx Context)
 	OnRound(ctx Context, inbox []Delivery)

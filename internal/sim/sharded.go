@@ -111,10 +111,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	// its own ExecBegin, so the tracer is only committed to p+1 tracks
 	// once the parallel path is certain; ExecNow is safe before ExecBegin.
 	tr := cfg.Tracer
-	var t0 int64
-	if tr != nil {
-		t0 = tr.ExecNow()
-	}
+	t0 := execNow(tr)
 	s, delays, wakeups, err := setupForRun(cfg, alg)
 	if err != nil {
 		return nil, err
@@ -134,64 +131,24 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		return e.sequential(cfg, alg)
 	}
 
-	g := s.Graph
-	n := g.N()
+	n := s.Graph.N()
 	p := part.P
 	W := Time(w)
-	if tr != nil {
-		tr.ExecBegin(p + 1) // track 0: coordinator; tracks 1..p: shards
-	}
-
-	e.run.alg = alg
-	e.run.g = g
-	e.run.s = s
-	e.run.delays = delays
-	e.run.seed = cfg.Seed
-	e.run.part = part
-	e.run.reset(n, int(s.EdgeStart[n]))
+	// Track 0 is the coordinator; tracks 1..p are the shards.
+	e.run.begin(tr, p+1, alg, s, delays, cfg.Seed, part)
 
 	if len(e.cores) != p {
 		e.cores = make([]engineCore, p)
 		e.inboxes = make([][]heldEvent, p)
 		e.cursors = make([]int, p)
 	}
-	// Contexts must point at the owning core, so — unlike the sequential
-	// engine — they are refilled every run: the partition, or the cores
-	// backing array itself, may have changed since the last one.
-	if cap(e.run.ctxs) < n {
-		e.run.ctxs = make([]coreCtx, n)
-	}
-	e.run.ctxs = e.run.ctxs[:n]
-
 	obs := cfg.observer()
 	master := NewAccounting(s, alg.Name(), cfg.TrackPorts)
-	capacity := queueCapacity(n, g.M())/p + 64
+	capacity := queueCapacity(n, s.Graph.M())/p + 64
 
 	for i := 0; i < p; i++ {
 		c := &e.cores[i]
-		c.run = &e.run
-		c.id = i
-		c.lo = int(part.Bounds[i])
-		c.hi = int(part.Bounds[i+1])
-		c.acct = master.shardView()
-		c.obs = nil
-		c.now = 0
-		c.seq = 0
-		c.err = nil
-		c.staging = true
-		c.recOn = obs != nil
-		c.curAt = 0
-		c.curVseq = 0
-		c.events = 0
-		c.lastAt = 0
-		c.nextAt = infTime
-		truncateStaged(c)
-		truncateRec(c)
-		c.queue.reset(capacity)
-		c.resetSlab(capacity)
-		for v := c.lo; v < c.hi; v++ {
-			e.run.ctxs[v] = coreCtx{c: c, node: v}
-		}
+		c.begin(&e.run, int(part.Bounds[i]), int(part.Bounds[i+1]), master.shardView(), obs, true, capacity)
 	}
 
 	// Scatter the wake schedule: wakeups take vseq 0..len-1 in schedule
@@ -246,11 +203,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		}
 	}()
 
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
+	t1 := setupSpan(tr, t0)
 	var winIdx int64
 
 	for {
@@ -342,12 +295,6 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		winIdx++
 	}
 
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(totalEvents), Start: t1, End: t2})
-	}
-
 	end := Time(0)
 	for i := range e.cores {
 		c := &e.cores[i]
@@ -356,26 +303,12 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		}
 		master.absorb(c.acct)
 	}
-	master.Result().Events = totalEvents
-	master.Finish(end)
 	res := master.Result()
+	res.Events = totalEvents
 	if cfg.MemReport {
 		res.Mem = e.memReport()
 	}
-	if obs != nil {
-		if err := obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := master.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	return finishRun(tr, t1, master, end, obs, cfg.StrictCongest)
 }
 
 // eventLimitErr is the event-budget error, shared verbatim with the

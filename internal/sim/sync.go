@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
-	"sort"
+	"math"
+	"slices"
 
 	"riseandshine/internal/graph"
 )
@@ -40,66 +41,54 @@ type SyncConfig struct {
 	Tracer ExecTracer
 }
 
-type pendingMsg struct {
-	seq int64
-	to  int
-	d   Delivery
-}
-
-// syncEngine holds the mutable state of a synchronous run. Setup,
-// accounting, and observation are the shared harness types; the engine
-// owns the round structure and the in-flight message buffer.
-type syncEngine struct {
-	cfg          SyncConfig
-	g            *graph.Graph
-	pm           *graph.PortMap
-	s            *Setup
-	acct         *Accounting
-	obs          Observer
-	round        int
-	awake        []bool
-	machines     []SyncProgram
-	newMachineFn func(NodeInfo) SyncProgram
-	rands        []*rand.Rand
-	inflight     []pendingMsg // sent this round, delivered next round
-	seq          int64
-	err          error
-}
-
-type syncCtx struct {
-	e    *syncEngine
-	node int
-}
-
-var _ Context = syncCtx{}
-
-func (c syncCtx) Info() NodeInfo        { return c.e.s.Infos[c.node] }
-func (c syncCtx) Now() Time             { return Time(c.e.round) }
-func (c syncCtx) Round() int            { return c.e.round }
-func (c syncCtx) Rand() *rand.Rand      { return c.e.rands[c.node] }
-func (c syncCtx) AdversarialWake() bool { return c.e.acct.AdversaryWoken(c.node) }
-
-func (c syncCtx) Send(port int, m Message) { c.e.send(c.node, port, m) }
-
-func (c syncCtx) SendToID(id graph.NodeID, m Message) { c.e.sendToID(c.node, id, m) }
-
-func (c syncCtx) Broadcast(m Message) {
-	for p := 1; p <= c.e.g.Degree(c.node); p++ {
-		c.e.send(c.node, p, m)
-	}
-}
-
 // RunSync executes alg in lock-step rounds until the network is quiescent:
 // no in-flight messages, no pending adversarial wake-ups, and every awake
 // machine reporting quiescence (machines that do not implement Quiescer
-// are treated as quiescent).
+// are treated as quiescent). It runs on a fresh engine; use an explicit
+// AsyncEngine to reuse scratch state across runs.
 func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
+	return new(AsyncEngine).RunSync(cfg, alg)
+}
+
+// syncPrograms adapts a SyncAlgorithm to the Algorithm interface, so the
+// engine core's wake and deliver serve synchronous rounds unchanged. Each
+// machine is boxed as a syncProgram whose OnMessage does nothing: the round
+// loop hands a node its messages in one OnRound call instead. The boxes
+// live in an engine-owned array with room for every node, handed out in
+// wake order, so boxing allocates nothing.
+type syncPrograms struct {
+	alg   SyncAlgorithm
+	boxes []syncProgram
+}
+
+type syncProgram struct{ SyncProgram }
+
+func (syncProgram) OnMessage(Context, Delivery) {}
+
+func (a *syncPrograms) Name() string { return a.alg.Name() }
+
+func (a *syncPrograms) NewMachine(info NodeInfo) Program {
+	// A node wakes at most once per run, so the append never outgrows the
+	// n slots RunSync reserves and earlier boxes never move.
+	a.boxes = append(a.boxes, syncProgram{a.alg.NewMachine(info)})
+	return &a.boxes[len(a.boxes)-1]
+}
+
+// RunSync executes alg in lock-step rounds on the engine, resetting — not
+// reallocating — the scratch left by any previous run, synchronous or not.
+//
+// Round r is simulated time r on the engine core, with unit delays: every
+// send in round r enters the event queue at r+1. Adversarial wakes enter
+// up front at ⌊At⌋, keyed by (round, node), so a round's wakes pop in
+// ascending node order and before all of its messages, which are pushed
+// later and carry larger sequence numbers. Each round pops every event due:
+// it dispatches the wakes, stable-sorts the deliveries by receiver and
+// delivers them, waking sleeping receivers in ascending order. It then
+// calls OnRound for every awake node in ascending order, each with its
+// messages in send order as one contiguous inbox.
+func (e *AsyncEngine) RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 	tr := cfg.Tracer
-	var t0 int64
-	if tr != nil {
-		tr.ExecBegin(1)
-		t0 = tr.ExecNow()
-	}
+	t0 := execNow(tr)
 	s, wakeups, err := runInputs{
 		config: "SyncConfig", scheduleField: "Schedule", alg: alg,
 		graph: cfg.Graph, ports: cfg.Ports, model: cfg.Model, schedule: cfg.Schedule,
@@ -108,217 +97,126 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := s.Graph
+	n := s.Graph.N()
+	e.sync.alg = alg
+	e.sync.boxes = growClear(e.sync.boxes, n)[:0]
+	c := e.begin(tr, &e.sync, s, UnitDelay{}, cfg.Seed, cfg.TrackPorts, cfg.Observer)
 
-	n := g.N()
-	e := &syncEngine{
-		cfg:          cfg,
-		g:            g,
-		pm:           s.Ports,
-		s:            s,
-		acct:         NewAccounting(s, alg.Name(), cfg.TrackPorts),
-		obs:          cfg.Observer,
-		awake:        make([]bool, n),
-		machines:     make([]SyncProgram, n),
-		newMachineFn: alg.NewMachine,
-		rands:        make([]*rand.Rand, n),
-	}
-	res := e.acct.Result()
-
-	// Bucket the wake schedule by round.
-	wakeByRound := make(map[int][]int)
-	lastWakeRound := 0
-	firstWakeRound := int(^uint(0) >> 1)
+	// A wake's sequence number is its node, so the heap orders wakes by
+	// (round, node); messages number on from n. A node scheduled twice in
+	// one round gives two equal events, and the second wake is a no-op.
 	for _, w := range wakeups {
-		r := int(w.At)
-		wakeByRound[r] = append(wakeByRound[r], w.Node)
-		if r > lastWakeRound {
-			lastWakeRound = r
-		}
-		if r < firstWakeRound {
-			firstWakeRound = r
-		}
+		c.queue.push(event{at: Time(math.Floor(float64(w.At))), seq: int64(w.Node), node: int32(w.Node), slot: wakeSlot})
 	}
-	//lint:maporder-ok sorts each bucket in place; no state crosses buckets
-	for _, nodes := range wakeByRound {
-		sort.Ints(nodes)
-	}
+	c.seq = int64(n)
 
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
+	res := c.acct.Result()
+	t1 := setupSpan(tr, t0)
 
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
-
-	lastActive := firstWakeRound
-	for e.round = firstWakeRound; ; e.round++ {
-		if e.round-firstWakeRound > maxRounds {
+	first := int(c.queue.peek().at)
+	lastActive := first
+	for round := first; ; round++ {
+		if round-first > maxRounds {
 			return nil, fmt.Errorf("sim: round limit %d exceeded (algorithm %q may not terminate)", maxRounds, alg.Name())
 		}
-		active := false
-
-		// Snapshot last round's sends before any handler runs this round:
-		// everything sent during this round (including by OnWake of nodes
-		// the adversary wakes below) is delivered next round.
-		arrivals := e.inflight
-		e.inflight = nil
-
-		// 1. Adversarial wake-ups scheduled for this round.
-		for _, v := range wakeByRound[e.round] {
-			if !e.awake[v] {
-				e.wakeNode(v, true)
-				active = true
-			}
-		}
-		delete(wakeByRound, e.round)
-
-		// 2. Deliveries: messages sent in the previous round.
-		inbox := make(map[int][]Delivery)
-		var receivers []int
-		for _, pm := range arrivals {
-			if _, ok := inbox[pm.to]; !ok {
-				receivers = append(receivers, pm.to)
-			}
-			inbox[pm.to] = append(inbox[pm.to], pm.d)
-			active = true
-		}
-		sort.Ints(receivers)
-		for _, v := range receivers {
-			if !e.awake[v] {
-				e.wakeNode(v, false)
-			}
-			for _, d := range inbox[v] {
-				e.acct.Deliver(v, d.Port)
-				if e.obs != nil {
-					e.obs.OnDeliver(Time(e.round), v, d)
-				}
-			}
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-
-		// 3. Computing step for every awake node.
-		for v := 0; v < n; v++ {
-			if !e.awake[v] {
-				continue
-			}
-			e.machines[v].OnRound(syncCtx{e: e, node: v}, inbox[v])
-			if e.err != nil {
-				return nil, e.err
-			}
+		active := e.syncRound(round)
+		if c.err != nil {
+			return nil, c.err
 		}
 		res.Events++
-		if len(e.inflight) > 0 {
-			active = true
-		}
 		if active {
-			lastActive = e.round
+			lastActive = round
 		}
-
-		// 4. Quiescence check.
-		if len(e.inflight) == 0 && len(wakeByRound) == 0 && e.allQuiescent() {
+		// Quiescence: nothing queued and no machine with plans of its own.
+		if c.queue.len() == 0 && e.syncQuiescent() {
 			break
 		}
 	}
 
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
-	}
-
-	res.Rounds = lastActive - firstWakeRound
-	e.acct.Finish(Time(lastActive))
-	if e.obs != nil {
-		if err := e.obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := e.acct.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	clear(e.sync.boxes) // release the machines: a reused engine may run other work next
+	res.Rounds = lastActive - first
+	return finishRun(tr, t1, c.acct, Time(lastActive), c.obs, cfg.StrictCongest)
 }
 
-func (e *syncEngine) allQuiescent() bool {
-	for v, m := range e.machines {
-		if !e.awake[v] || m == nil {
+// syncRound runs one synchronous round and reports whether it was active:
+// whether it woke a node, delivered a message or sent one. It stops at the
+// first error, which it leaves in the core.
+//
+//wakeup:noalloc
+func (e *AsyncEngine) syncRound(round int) bool {
+	c := &e.core
+	r := c.run
+	c.round = round
+	c.now = Time(round)
+	seq0 := c.seq
+	active := false
+
+	// 1. Adversarial wakes, then this round's deliveries grouped by
+	// receiver. Everything sent from here on is due next round.
+	due := e.due[:0]
+	for c.queue.len() > 0 && c.queue.peek().at <= c.now {
+		ev := c.queue.pop()
+		if ev.slot >= 0 {
+			//lint:noalloc-ok grows to the high-water per-round delivery count, then reuses the array
+			due = append(due, ev)
+		} else if !r.awake[ev.node] {
+			c.wake(int(ev.node), true)
+			active = true
+		}
+	}
+	//lint:noalloc-ok stdlib stable sort over a flat slice with a capture-free comparator; pinned by TestSyncSteadyStateZeroAllocs
+	slices.SortStableFunc(due, byReceiver)
+	inbox := e.inbox[:0]
+	for _, ev := range due {
+		d := c.take(ev.slot)
+		//lint:noalloc-ok grows to the high-water per-round delivery count, then reuses the array
+		inbox = append(inbox, d)
+		c.deliver(int(ev.node), d)
+	}
+	e.due, e.inbox = due, inbox
+	if c.err != nil {
+		return false
+	}
+
+	// 2. The computing step of every awake node, each with its messages as
+	// one contiguous inbox.
+	next := 0
+	for v := range r.awake {
+		lo := next
+		for next < len(due) && int(due[next].node) == v {
+			next++
+		}
+		if !r.awake[v] {
 			continue
 		}
-		if q, ok := m.(Quiescer); ok && !q.Quiescent() {
+		var in []Delivery
+		if next > lo {
+			in = inbox[lo:next:next]
+		}
+		//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
+		r.machines[v].(*syncProgram).OnRound(&r.ctxs[v], in)
+		if c.err != nil {
+			return false
+		}
+	}
+	clear(inbox) // release this round's payloads
+	return active || len(due) > 0 || c.seq != seq0
+}
+
+// byReceiver orders delivery events by receiving node.
+func byReceiver(a, b event) int { return cmp.Compare(a.node, b.node) }
+
+// syncQuiescent reports whether every awake machine of a synchronous run
+// is quiescent.
+func (e *AsyncEngine) syncQuiescent() bool {
+	for i := range e.sync.boxes {
+		if q, ok := e.sync.boxes[i].SyncProgram.(Quiescer); ok && !q.Quiescent() {
 			return false
 		}
 	}
 	return true
-}
-
-func (e *syncEngine) wakeNode(v int, adversarial bool) {
-	e.awake[v] = true
-	e.acct.Wake(v, Time(e.round), adversarial)
-	if e.rands[v] == nil {
-		e.rands[v] = e.s.Rand(v)
-	}
-	if e.obs != nil {
-		e.obs.OnWake(Time(e.round), v, adversarial)
-	}
-	e.machines[v] = e.newMachineFn(e.s.Infos[v])
-	e.machines[v].OnWake(syncCtx{e: e, node: v})
-}
-
-func (e *syncEngine) send(from, port int, m Message) {
-	if e.err != nil {
-		return
-	}
-	// CSR edge metadata shared with the asynchronous engine: receiver and
-	// receiver-side port are precomputed per directed edge, so the
-	// per-message path does no PortTo binary search.
-	s := e.s
-	ei := s.EdgeStart[from] + int32(port) - 1
-	if port < 1 || ei >= s.EdgeStart[from+1] {
-		// Same contract (and message) as graph.PortMap.Neighbor.
-		panic(fmt.Sprintf("graph: node %d has no port %d (degree %d)", from, port, s.EdgeStart[from+1]-s.EdgeStart[from]))
-	}
-	to := int(s.EdgeTo[ei])
-	if err := e.acct.Send(from, port, m.Bits()); err != nil {
-		e.err = err
-		return
-	}
-	if e.obs != nil {
-		e.obs.OnSend(Time(e.round), from, port, m)
-	}
-	e.inflight = append(e.inflight, pendingMsg{
-		seq: e.seq,
-		to:  to,
-		d: Delivery{
-			Msg:        m,
-			Port:       int(s.RevPort[ei]),
-			SenderPort: port,
-			From:       s.SenderIDs[from],
-		},
-	})
-	e.seq++
-}
-
-func (e *syncEngine) sendToID(from int, id graph.NodeID, m Message) {
-	if e.cfg.Model.Knowledge != KT1 {
-		e.err = fmt.Errorf("sim: SendToID requires KT1 (model is %v)", e.cfg.Model.Knowledge)
-		return
-	}
-	to := e.g.IndexOf(id)
-	if to == -1 || !e.g.HasEdge(from, to) {
-		e.err = fmt.Errorf("sim: node ID %d has no neighbor with ID %d", e.g.ID(from), id)
-		return
-	}
-	e.send(from, e.pm.PortTo(from, to), m)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -175,6 +176,15 @@ func TestSyncValidation(t *testing.T) {
 		Advice:   make([][]byte, 9),
 	}, alg); err == nil {
 		t.Error("expected advice-mismatch error")
+	}
+	// Non-finite wake times are rejected, not truncated to a round.
+	for _, at := range []Time{Time(math.NaN()), Time(math.Inf(1)), Time(math.Inf(-1))} {
+		if _, err := RunSync(SyncConfig{
+			Graph:    graph.Path(2),
+			Schedule: WakeSet{Nodes: []int{0}, At: at},
+		}, alg); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("wake at %v: got %v, want a not-finite error", at, err)
+		}
 	}
 }
 

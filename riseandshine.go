@@ -92,8 +92,8 @@ type (
 	MetricsObserver = metrics.Observer
 	// FrontierPoint is one sample of the wake-up frontier.
 	FrontierPoint = metrics.FrontierPoint
-	// Engine is reusable asynchronous-engine scratch (event queue, machine
-	// tables, per-node RNGs, FIFO clocks): its Run resets the buffers in
+	// Engine is reusable engine scratch (event queue, machine tables,
+	// per-node RNGs, FIFO clocks): its Run and RunSync reset the buffers in
 	// place instead of allocating fresh ones, with byte-identical results.
 	// Pass one per sweep worker via RunConfig.Engine; the zero value is
 	// ready to use. Not safe for concurrent use.

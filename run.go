@@ -52,10 +52,12 @@ type RunConfig struct {
 	// several with StackObservers. Runs without any observer keep the
 	// engines' allocation-free hot path.
 	Observer Observer
-	// Engine, when non-nil, supplies reusable asynchronous-engine scratch:
-	// the run resets the engine's buffers in place instead of allocating
-	// fresh ones. An Engine is not safe for concurrent use — give each
-	// sweep worker its own. Synchronous algorithms ignore it.
+	// Engine, when non-nil, supplies reusable engine scratch: the run
+	// resets the engine's buffers in place instead of allocating fresh
+	// ones. One Engine serves asynchronous and synchronous algorithms
+	// alike (synchronous rounds run on the same event core), but not
+	// sharded runs, which use Sharded. An Engine is not safe for
+	// concurrent use — give each sweep worker its own.
 	Engine *Engine
 	// Shards, when > 1, runs the asynchronous engine sharded: the graph is
 	// partitioned into that many contiguous node ranges, each driven by its
@@ -196,6 +198,10 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		tracer = cfg.ExecTrace
 	}
 
+	eng := cfg.Engine
+	if eng == nil {
+		eng = new(Engine) // a one-run engine, as sim.RunAsync and sim.RunSync use
+	}
 	if p.info.Synchronous {
 		// The synchronous engine takes only the explicit observer slot, so
 		// the façade desugars Trace/RecordDigests into the stack here.
@@ -206,7 +212,7 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		if cfg.RecordDigests {
 			digests = sim.NewDigestObserver(false)
 		}
-		return sim.RunSync(sim.SyncConfig{
+		return eng.RunSync(sim.SyncConfig{
 			Graph:         p.graph,
 			Ports:         p.ports,
 			Model:         p.model,
@@ -247,10 +253,7 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		}
 		return sim.RunSharded(simCfg, alg)
 	}
-	if cfg.Engine != nil {
-		return cfg.Engine.Run(simCfg, alg)
-	}
-	return sim.RunAsync(simCfg, alg)
+	return eng.Run(simCfg, alg)
 }
 
 // Run executes the named algorithm, running its oracle first if the scheme
