@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SymplecticGQIncidence returns the point–line incidence graph of the
 // symplectic generalized quadrangle W(3, q) for a prime q: points are all
@@ -104,7 +107,7 @@ func linePoints(q int, p, r [4]int, index map[[4]int]int) []int {
 		}
 		members = append(members, index[canon4(q, v)])
 	}
-	sortInts(members)
+	slices.Sort(members)
 	return members
 }
 

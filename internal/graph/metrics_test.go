@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,6 +180,41 @@ func TestComponents(t *testing.T) {
 	}
 	if len(comps[2]) != 2 {
 		t.Errorf("component 2 = %v", comps[2])
+	}
+}
+
+// TestComponentsSortedAndOrdered checks the Components contract on random
+// forests: every node appears once, each component is sorted ascending, and
+// the components are ordered by their smallest member.
+func TestComponentsSortedAndOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		n := 1 + rng.Intn(300)
+		b := NewBuilder(n)
+		for v := 1; v < n; v++ {
+			if rng.Intn(4) != 0 { // leave about a quarter of the tree edges out
+				b.AddEdge(rng.Intn(v), v)
+			}
+		}
+		comps := b.MustBuild().Components()
+		seen := make([]bool, n)
+		for i, c := range comps {
+			if !slices.IsSorted(c) {
+				t.Fatalf("trial %d: component %d not sorted: %v", trial, i, c)
+			}
+			if i > 0 && comps[i-1][0] >= c[0] {
+				t.Fatalf("trial %d: component %d starts at %d after %d", trial, i, c[0], comps[i-1][0])
+			}
+			for _, v := range c {
+				if seen[v] {
+					t.Fatalf("trial %d: node %d in two components", trial, v)
+				}
+				seen[v] = true
+			}
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("trial %d: a node is in no component", trial)
+		}
 	}
 }
 
