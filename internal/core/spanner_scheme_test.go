@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,5 +172,41 @@ func TestSpannerSchemeDenseGraphSavings(t *testing.T) {
 	}
 	if res.Messages*4 > 2*g.M() {
 		t.Errorf("spanner scheme used %d messages vs flooding %d: savings below 4×", res.Messages, 2*g.M())
+	}
+}
+
+// TestSpannerAdviceDigest pins SpannerOracle's advice bit for bit: an
+// FNV-64a hash over every node's advice length and bytes, on two fixed
+// graphs and port maps at k = 2 and at the Corollary 2 parameter.
+func TestSpannerAdviceDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		seed int64
+		want map[int]uint64 // k -> digest
+	}{
+		{"connected:300:0.1", graph.RandomConnected(300, 0.1, rand.New(rand.NewSource(31))), 32,
+			map[int]uint64{2: 0x4f5c655f4ef7345d, 9: 0x8f39bc5c83d570f1}},
+		{"grid:20x25", graph.Grid(20, 25), 33,
+			map[int]uint64{2: 0x37671a8888bb25c6, 9: 0xd88f745a13b1be10}},
+	}
+	for _, c := range cases {
+		pm := graph.RandomPorts(c.g, rand.New(rand.NewSource(c.seed)))
+		for _, k := range []int{2, core.Corollary2K(c.g.N())} {
+			bits, lengths, err := (core.SpannerOracle{K: k}).Advise(c.g, pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var buf [8]byte
+			for v := range bits {
+				binary.LittleEndian.PutUint64(buf[:], uint64(lengths[v]))
+				h.Write(buf[:])
+				h.Write(bits[v])
+			}
+			if got := h.Sum64(); got != c.want[k] {
+				t.Errorf("%s k=%d: advice digest %#x, want %#x", c.name, k, got, c.want[k])
+			}
+		}
 	}
 }
