@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"riseandshine/internal/advice"
 	"riseandshine/internal/graph"
@@ -60,7 +61,7 @@ func treePorts(g *graph.Graph, pm *graph.PortMap, root int) ([][]int, error) {
 		}
 	}
 	for v := range ports {
-		sortInts(ports[v])
+		slices.Sort(ports[v])
 	}
 	return ports, nil
 }
@@ -145,12 +146,4 @@ func (m *portSetMachine) OnWake(ctx sim.Context) {
 
 func (m *portSetMachine) OnMessage(sim.Context, sim.Delivery) {
 	// Waking is handled by OnWake; nothing further to do.
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

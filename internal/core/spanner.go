@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"riseandshine/internal/advice"
 	"riseandshine/internal/graph"
@@ -74,38 +76,36 @@ func (o SpannerOracle) Advise(g *graph.Graph, pm *graph.PortMap) ([][]byte, []in
 	out := graph.OrientByOrder(s, order)
 
 	n := g.N()
-	// inList[v]: in-neighbors of v in deterministic (ascending index)
-	// order; this is the heap order of v's dissemination tree.
+	// inList[v]: in-neighbors of v by ascending index (built in that
+	// order); this is the heap order of v's dissemination tree.
 	inList := make([][]int, n)
 	for x := 0; x < n; x++ {
 		for _, v := range out[x] {
 			inList[v] = append(inList[v], x)
 		}
 	}
-	for v := range inList {
-		sortInts(inList[v])
-	}
-	// posIn[x][v] would be x's heap position in inList[v]; compute next
-	// pairs directly instead: for inList[v][i-1] (1-based i), successors
-	// are inList[v][2i-1] and inList[v][2i] when present.
-	type pair struct{ a, b int }      // ports at v; 0 = absent
-	nextAt := make([]map[int]pair, n) // nextAt[x][port of x to v] = pair
+	// next[x] holds one entry per out-edge x→v, keyed by x's port to v:
+	// the ports at v of x's heap successors. For inList[v][i-1] (1-based
+	// i), the successors are inList[v][2i-1] and inList[v][2i] when
+	// present.
+	type nextEntry struct{ port, a, b int } // a, b: ports at v; 0 = absent
+	next := make([][]nextEntry, n)
 	for v := 0; v < n; v++ {
 		l := inList[v]
 		for i := 1; i <= len(l); i++ {
 			x := l[i-1]
-			var p pair
+			e := nextEntry{port: pm.PortTo(x, v)}
 			if 2*i <= len(l) {
-				p.a = pm.PortTo(v, l[2*i-1])
+				e.a = pm.PortTo(v, l[2*i-1])
 			}
 			if 2*i+1 <= len(l) {
-				p.b = pm.PortTo(v, l[2*i])
+				e.b = pm.PortTo(v, l[2*i])
 			}
-			if nextAt[x] == nil {
-				nextAt[x] = make(map[int]pair)
-			}
-			nextAt[x][pm.PortTo(x, v)] = p
+			next[x] = append(next[x], e)
 		}
+	}
+	for x := range next {
+		slices.SortFunc(next[x], func(p, q nextEntry) int { return cmp.Compare(p.port, q.port) })
 	}
 
 	w := spannerWidth(n)
@@ -126,25 +126,18 @@ func (o SpannerOracle) Advise(g *graph.Graph, pm *graph.PortMap) ([][]byte, []in
 			wr.WriteBool(false)
 		}
 		// Next-pair entries, keyed by this node's own port.
-		entries := nextAt[v]
-		keys := make([]int, 0, len(entries))
-		for k := range entries {
-			keys = append(keys, k)
-		}
-		sortInts(keys)
-		wr.WriteBits(uint64(len(keys)), w)
-		for _, k := range keys {
-			p := entries[k]
-			wr.WriteBits(uint64(k), w)
-			if p.a != 0 {
+		wr.WriteBits(uint64(len(next[v])), w)
+		for _, e := range next[v] {
+			wr.WriteBits(uint64(e.port), w)
+			if e.a != 0 {
 				wr.WriteBool(true)
-				wr.WriteBits(uint64(p.a), w)
+				wr.WriteBits(uint64(e.a), w)
 			} else {
 				wr.WriteBool(false)
 			}
-			if p.b != 0 {
+			if e.b != 0 {
 				wr.WriteBool(true)
-				wr.WriteBits(uint64(p.b), w)
+				wr.WriteBits(uint64(e.b), w)
 			} else {
 				wr.WriteBool(false)
 			}
