@@ -24,8 +24,9 @@ case "$mode" in
     # prefix; BenchmarkRunSharded adds the parallel-engine speedup curve;
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
-    # graph package contributes the build + BFS-scratch benchmarks.
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    # graph package contributes the build, diameter and greedy-spanner
+    # benchmarks.
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
     packages='. ./internal/graph'
     benchtime='1x'
     count=1
