@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
 )
@@ -48,7 +50,8 @@ func (a DFSRank) NewMachine(info sim.NodeInfo) sim.Program {
 }
 
 // dfsToken is the traversal token. Ownership is handed off on send: the
-// sender keeps no reference, so the slices can be extended in place.
+// sender keeps no reference, so the slices and the visited set can be
+// extended in place.
 //
 // congest: exempt — LOCAL-model token; Bits() meters the carried ID lists.
 type dfsToken struct {
@@ -57,12 +60,24 @@ type dfsToken struct {
 	Visited []graph.NodeID // IDs in visit order; Visited[0] == Origin
 	Stack   []graph.NodeID // DFS path from origin to the current holder
 	idBits  int
+	// seen holds exactly the IDs in Visited, so a hop checks only the
+	// holder's own neighbors. It is derived from Visited, not carried
+	// content: Bits and GoString leave it out.
+	seen map[graph.NodeID]bool
 }
 
 // Bits implements sim.Message. The token is a LOCAL-model message: its
 // size grows linearly with the visited prefix.
 func (t *dfsToken) Bits() int {
 	return tagBits + 64 + (len(t.Visited)+len(t.Stack))*t.idBits
+}
+
+// GoString prints the token's carried fields in fmt's %#v form, without
+// the derived visited set. Transcript digests and CSV traces hash this
+// form, so they depend only on the message content.
+func (t *dfsToken) GoString() string {
+	return fmt.Sprintf("&core.dfsToken{Rank:%#x, Origin:%d, Visited:%#v, Stack:%#v, idBits:%d}",
+		t.Rank, t.Origin, t.Visited, t.Stack, t.idBits)
 }
 
 // dfsMachine is the per-node state: only the lexicographic maximum
@@ -98,6 +113,7 @@ func (m *dfsMachine) OnWake(ctx sim.Context) {
 		Visited: []graph.NodeID{me},
 		Stack:   []graph.NodeID{me},
 		idBits:  m.info.LogN + 1,
+		seen:    map[graph.NodeID]bool{me: true},
 	}
 	m.advance(ctx, t)
 }
@@ -118,18 +134,15 @@ func (m *dfsMachine) OnMessage(ctx sim.Context, d sim.Delivery) {
 // token's DFS stack: move to the smallest-ID unvisited neighbor if one
 // exists, otherwise backtrack toward the origin.
 func (m *dfsMachine) advance(ctx sim.Context, t *dfsToken) {
-	visited := make(map[graph.NodeID]bool, len(t.Visited))
-	for _, id := range t.Visited {
-		visited[id] = true
-	}
 	next := graph.NodeID(-1)
 	for _, id := range m.info.NeighborIDs {
-		if !visited[id] && (next == -1 || id < next) {
+		if !t.seen[id] && (next == -1 || id < next) {
 			next = id
 		}
 	}
 	if next != -1 {
 		t.Visited = append(t.Visited, next)
+		t.seen[next] = true
 		t.Stack = append(t.Stack, next)
 		ctx.SendToID(next, t)
 		return

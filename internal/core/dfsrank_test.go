@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"riseandshine/internal/core"
@@ -160,5 +161,30 @@ func TestDFSTimeLinearOnCycle(t *testing.T) {
 	}
 	if res.Span < 49 {
 		t.Errorf("span %v suspiciously small for a 50-cycle", res.Span)
+	}
+}
+
+// TestDFSRankAllocScaling: one traversal of Cycle(n) makes about 2n hops.
+// The token carries its visited set, so a hop checks only the holder's
+// neighbors and the run allocates O(n) bytes in all. Rebuilding the set
+// from the visited list at every hop makes it O(n²): 4× the bytes when n
+// doubles.
+func TestDFSRankAllocScaling(t *testing.T) {
+	allocated := func(n int) uint64 {
+		g := graph.Cycle(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runDFS(t, g, sim.WakeSingle(0), sim.UnitDelay{}, 1)
+		runtime.ReadMemStats(&after)
+		if !res.AllAwake {
+			t.Fatalf("n=%d: not all awake", n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, big := allocated(1024), allocated(2048)
+	t.Logf("bytes allocated: %d at n=1024, %d at n=2048 (%.2fx)", small, big, float64(big)/float64(small))
+	if float64(big) > 2.5*float64(small) {
+		t.Errorf("allocation grows superlinearly: %d B at n=1024, %d B at n=2048 (%.2fx, want <= 2.5x)",
+			small, big, float64(big)/float64(small))
 	}
 }

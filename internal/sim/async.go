@@ -111,10 +111,14 @@ type AsyncEngine struct {
 	core engineCore
 
 	// RunSync's scratch: the SyncProgram adapter with its machine boxes,
-	// and the current round's delivery events and inbox.
-	sync  syncPrograms
-	due   []event
-	inbox []Delivery
+	// the current round's delivery events in pop order and bucketed by
+	// receiver, the n+1 bucket offsets of the counting sort (zero between
+	// rounds), and the round's inbox.
+	sync   syncPrograms
+	due    []event
+	byNode []event
+	offs   []int32
+	inbox  []Delivery
 }
 
 // RunAsync executes alg on the configured network until the event queue is
