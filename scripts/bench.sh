@@ -25,15 +25,16 @@ case "$mode" in
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
     # graph package contributes the build, diameter and greedy-spanner
-    # benchmarks.
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
-    packages='. ./internal/graph'
+    # benchmarks; BenchmarkMachines (internal/core) times the ranked-DFS
+    # and FastWakeUp machine state on table1's largest cells.
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand|BenchmarkMachines'
+    packages='. ./internal/graph ./internal/core'
     benchtime='1x'
     count=1
     ;;
   full)
     pattern='.'
-    packages='. ./internal/graph'
+    packages='. ./internal/graph ./internal/core'
     benchtime='3x'
     count=1
     ;;
